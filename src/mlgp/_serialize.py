@@ -1,9 +1,9 @@
 """Key-tree text files whose floats survive a write/read cycle bit for bit.
 
-The layout is JSON.  The emitter prints every float with 17 significant
-digits, which is enough to reconstruct any IEEE-754 double exactly, and it
-keeps a trailing ``.0`` on integer-valued floats so they load back as floats
-(preserving, e.g., the sign of -0.0).  Reading uses the stock JSON parser.
+The layout is JSON, written and read by the standard library.  Python
+writes each float as the shortest decimal string that parses back to the
+same double, so reloads are bit-exact (-0.0 and subnormals included), and
+a non-finite float raises ValueError instead of producing invalid JSON.
 """
 
 import json
@@ -11,54 +11,16 @@ from pathlib import Path
 
 import numpy as np
 
-_SCALARS = (bool, str, int, float, np.integer, np.floating)
 
-
-def format_float(v):
-    v = float(v)
-    if not np.isfinite(v):
-        raise ValueError("cannot serialize a non-finite float")
-    s = format(v, ".17g")
-    if "." not in s and "e" not in s:
-        s += ".0"
-    return s
-
-
-def _emit(obj, indent):
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, (list, tuple)):
-        if all(isinstance(v, _SCALARS) or v is None for v in obj):
-            return "[" + ", ".join(_emit(v, 0) for v in obj) + "]"
-        body = ",\n".join(inner + _emit(v, indent + 1) for v in obj)
-        return "[\n" + body + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        body = ",\n".join(
-            inner + json.dumps(str(k)) + ": " + _emit(v, indent + 1)
-            for k, v in obj.items()
-        )
-        return "{\n" + body + "\n" + pad + "}"
+def _to_builtin(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj):
-    return _emit(obj, 0) + "\n"
-
-
 def save(path, obj):
-    Path(path).write_text(dumps(obj))
+    text = json.dumps(obj, indent=1, allow_nan=False, default=_to_builtin)
+    Path(path).write_text(text + "\n")
 
 
 def load(path):

@@ -7,6 +7,10 @@ vectors equals ``-||x - c||^2/2 + r^2/2``, so sphere incidence becomes a
 linear functional of the lifted point: positive inside, zero on the surface,
 negative outside.
 
+:func:`lift` lifts each ``group``-wide block of a vector on its own: every
+3D point of a flattened shape for ``group=3``, a whole n-vector for
+``group=n``, nothing for ``group=0``.  :func:`lift_grad` is its adjoint.
+
 Learned sphere vectors are generally scaled by an arbitrary nonzero factor;
 dividing by the last component (``point_normalize``) recovers the canonical
 form together with that scale factor.
@@ -37,17 +41,40 @@ class DegenerateSphereError(ValueError):
 
 def _as_finite_vector(x, name):
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {x.shape}")
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-D vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} must be finite")
     return x
 
 
+def lift(x, group):
+    """Lift every ``group``-wide block g of the last axis to (g, -1, -||g||^2/2)."""
+    x = np.asarray(x, dtype=float)
+    if group == 0:
+        return x
+    lead = x.shape[:-1]
+    g = x.reshape(lead + (-1, group))
+    out = np.empty(g.shape[:-1] + (group + 2,))
+    out[..., :group] = g
+    out[..., group] = -1.0
+    out[..., group + 1] = -0.5 * (g * g).sum(axis=-1)
+    return out.reshape(lead + (-1,))
+
+
+def lift_grad(d_lifted, x, group):
+    """Pull a gradient on ``lift(x, group)`` back to a gradient on ``x``."""
+    if group == 0:
+        return d_lifted
+    d = d_lifted.reshape(x.shape[:-1] + (-1, group + 2))
+    g = x.reshape(x.shape[:-1] + (-1, group))
+    return (d[..., :group] - d[..., group + 1 :] * g).reshape(x.shape)
+
+
 def embed_point(x):
     """Lift a Euclidean n-vector to its (n+2)-dim conformal point form."""
     x = _as_finite_vector(x, "point")
-    return np.concatenate([x, [-1.0, -0.5 * (x @ x)]])
+    return lift(x, len(x))
 
 
 def sphere_from_center_radius(center, radius):

@@ -22,14 +22,13 @@ import numpy as np
 from . import _serialize, tetris
 from .conformal import DegenerateSphereError, extract_center_radius_sq, point_normalize
 from .models import (
-    MLGP,
     MODEL_KINDS,
     accuracy,
     build_model,
     transform_mlgp_weights,
 )
 from .nn import GEOMETRIC, Adam, backward, embed_input, forward, softmax_cross_entropy
-from .tetris import LabeledShapeSet, make_dataset, sample_motion
+from .tetris import make_dataset, sample_motion
 
 MAIN_EXPERIMENT = "main"
 THETA_EXPERIMENT = "theta"
@@ -395,7 +394,7 @@ def export_spheres(layers, path=None):
     first = layers[0]
     units = []
     for u in range(first.out_dim):
-        blocks = first.w[u].reshape(-1, 5)
+        blocks = first.w[u].reshape(-1, first.group + 2)
         spheres = []
         for p, raw in enumerate(blocks):
             entry = {"point_block": p, "gamma": float(raw[-1])}

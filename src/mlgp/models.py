@@ -23,7 +23,6 @@ from .nn import (
     GEOMETRIC,
     HYPERSPHERE,
     Layer,
-    embed_input,
     forward,
     softmax,
 )
@@ -33,35 +32,25 @@ MLHP = "mlhp"
 MLGP = "mlgp"
 MODEL_KINDS = (MLP, MLHP, MLGP)
 
-DEFAULT_HIDDEN_UNITS = {MLP: 6, MLHP: 5, MLGP: 4}
+# (layer kind, lifted in_dim, out_dim, activation) per layer
+ARCHITECTURES = {
+    MLP: ((DENSE, 12, 6, "relu"), (DENSE, 6, 8, "identity")),
+    MLHP: ((HYPERSPHERE, 14, 5, "identity"), (HYPERSPHERE, 7, 8, "identity")),
+    MLGP: ((GEOMETRIC, 20, 4, "identity"), (HYPERSPHERE, 6, 8, "identity")),
+}
 
 CHECKPOINT_FORMAT = "mlgp-checkpoint-v1"
 
 
-def build_model(kind, rng=None, hidden_units=None, hidden_activation=None):
+def build_model(kind, rng=None):
     """Construct a fresh layer chain for ``kind``.
 
-    With the default widths the parameter counts are exactly 134 (mlp),
-    126 (mlhp), and 128 (mlgp).  ``rng=None`` gives all-zero parameters.
+    The parameter counts are exactly 134 (mlp), 126 (mlhp), and 128 (mlgp).
+    ``rng=None`` gives all-zero parameters.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    h = DEFAULT_HIDDEN_UNITS[kind] if hidden_units is None else int(hidden_units)
-    if h < 1:
-        raise ValueError("hidden_units must be positive")
-    if kind == MLP:
-        act = "relu" if hidden_activation is None else hidden_activation
-        return [
-            Layer(DENSE, 12, h, act, rng),
-            Layer(DENSE, h, 8, "identity", rng),
-        ]
-    act = "identity" if hidden_activation is None else hidden_activation
-    first_kind = HYPERSPHERE if kind == MLHP else GEOMETRIC
-    first_in = 14 if kind == MLHP else 20
-    return [
-        Layer(first_kind, first_in, h, act, rng),
-        Layer(HYPERSPHERE, h + 2, 8, "identity", rng),
-    ]
+    return [Layer(*spec, rng=rng) for spec in ARCHITECTURES[kind]]
 
 
 def param_count(layers):
@@ -95,17 +84,17 @@ def transform_mlgp_weights(layers, motion):
     out = copy_layers(layers)
     first = out[0]
     mat = motor_matrix_sphere(motion)
-    blocks = first.w.reshape(first.out_dim, first.in_dim // 5, 5)
+    blocks = first.w.reshape(first.out_dim, -1, first.group + 2)
     first.w = np.einsum("ij,ukj->uki", mat, blocks).reshape(first.w.shape)
     return out
 
 
-def predict(layers, points, first_embedded=None):
+def predict(layers, points):
     """Class labels and softmax probabilities for one shape or a batch.
 
     Argmax ties resolve to the lowest label index.
     """
-    logits, _ = forward(layers, points, first_embedded)
+    logits, _ = forward(layers, points)
     probs = softmax(logits)
     labels = np.argmax(probs, axis=-1)
     if probs.ndim == 1:
@@ -113,9 +102,9 @@ def predict(layers, points, first_embedded=None):
     return labels, probs
 
 
-def accuracy(layers, points, labels, first_embedded=None):
+def accuracy(layers, points, labels):
     """Fraction of shapes assigned their true label, in [0, 1]."""
-    predicted, _ = predict(layers, points, first_embedded)
+    predicted, _ = predict(layers, points)
     return float(np.mean(predicted == np.asarray(labels)))
 
 
@@ -143,24 +132,40 @@ def save_checkpoint(path, kind, layers, adam_step=0):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns ``(kind, layers, adam_step)``."""
+    """Read a checkpoint; returns ``(kind, layers, adam_step)``.
+
+    A malformed file raises ValueError: a missing key, an unknown model,
+    layer kind or activation, a misshapen or non-finite parameter, or layer
+    widths that do not chain from the 12 shape coordinates to the 8 logits.
+    """
     doc = _serialize.load(path)
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a model checkpoint: {path}")
-    kind = doc["model"]
+    try:
+        kind = doc["model"]
+        layers = [_load_layer(spec, path) for spec in doc["layers"]]
+        adam_step = int(doc["adam_step"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed checkpoint {path}: {exc!r}") from None
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r} in {path}")
-    layers = []
-    for spec in doc["layers"]:
-        layer = Layer(spec["kind"], spec["in_dim"], spec["out_dim"], spec["activation"])
-        w = np.asarray(spec["weights"], dtype=float)
-        if w.shape != layer.w.shape:
-            raise ValueError(f"weight shape mismatch in {path}")
-        layer.w = w
-        if spec["bias"] is not None:
-            b = np.asarray(spec["bias"], dtype=float)
-            if layer.b is None or b.shape != layer.b.shape:
-                raise ValueError(f"bias mismatch in {path}")
-            layer.b = b
-        layers.append(layer)
-    return kind, layers, int(doc["adam_step"])
+    produced = [12] + [layer.out_dim for layer in layers]
+    consumed = [layer.pre_embed_dim for layer in layers] + [8]
+    if produced != consumed:
+        raise ValueError(f"layer widths do not chain 12 -> ... -> 8 in {path}")
+    return kind, layers, adam_step
+
+
+def _load_layer(spec, path):
+    layer = Layer(spec["kind"], spec["in_dim"], spec["out_dim"], spec["activation"])
+    layer.w = _load_param(spec["weights"], layer.w.shape, path)
+    if layer.b is not None or spec["bias"] is not None:
+        layer.b = _load_param(spec["bias"], np.shape(layer.b), path)
+    return layer
+
+
+def _load_param(values, shape, path):
+    param = np.asarray(values, dtype=float)
+    if param.shape != shape or not np.all(np.isfinite(param)):
+        raise ValueError(f"parameters in {path} must be finite with shape {shape}")
+    return param

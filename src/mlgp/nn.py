@@ -1,19 +1,18 @@
 """Layers, exact hand-derived gradients, softmax cross-entropy, and Adam.
 
-Three layer kinds share one linear core ``activation(W @ features)``:
-
-* ``dense``        - features are the raw input, plus a bias term;
-* ``geometric``    - the input is read as a list of 3D points, each lifted to
-                     its 5-dim conformal form before the weights apply;
-* ``hypersphere``  - the whole input vector is lifted to m+2 dims first.
-
-The lifts are parameter-free but nonlinear, so the backward pass routes
-gradients through their Jacobians explicitly.  Everything is float64 and
-vectorized over a leading batch axis.
+Every layer computes ``activation(W @ lift(x, group))`` with the conformal
+lift of :mod:`mlgp.conformal`.  The layer kinds differ only in ``group``:
+``dense`` has 0 (no lift; a bias instead), ``geometric`` has 3 (each 3D
+point becomes a 5-dim block), and ``hypersphere`` has the input width m
+(the whole input becomes one (m+2)-dim point).  The lift is parameter-free
+but nonlinear, so the backward pass routes gradients through its adjoint,
+``lift_grad``.  Everything is float64 and vectorized over a batch axis.
 """
 
 import numpy as np
 from dataclasses import dataclass
+
+from .conformal import lift, lift_grad
 
 DENSE = "dense"
 GEOMETRIC = "geometric"
@@ -56,32 +55,9 @@ def embed_pointwise(points):
     rows are flattened row-wise into a length-5k vector.
     """
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 2
-    if single:
-        pts = pts[None]
-    if pts.ndim != 3 or pts.shape[-1] != 3:
+    if pts.ndim not in (2, 3) or pts.shape[-1] != 3:
         raise ValueError(f"expected (..., k, 3) points, got shape {pts.shape}")
-    b, k, _ = pts.shape
-    out = np.empty((b, k, 5))
-    out[..., :3] = pts
-    out[..., 3] = -1.0
-    out[..., 4] = -0.5 * (pts * pts).sum(axis=-1)
-    out = out.reshape(b, 5 * k)
-    return out[0] if single else out
-
-
-def embed_vector(z):
-    """Lift an (m,) or (batch, m) vector: append -1 and -||z||^2/2."""
-    v = np.asarray(z, dtype=float)
-    single = v.ndim == 1
-    if single:
-        v = v[None]
-    b, m = v.shape
-    out = np.empty((b, m + 2))
-    out[:, :m] = v
-    out[:, m] = -1.0
-    out[:, m + 1] = -0.5 * (v * v).sum(axis=1)
-    return out[0] if single else out
+    return lift(pts.reshape(pts.shape[:-2] + (-1,)), 3)
 
 
 class Layer:
@@ -89,6 +65,7 @@ class Layer:
 
     ``in_dim`` counts the features the weights multiply, i.e. after any lift:
     5k for geometric (k input points), m+2 for hypersphere (m-dim input).
+    ``group``, the input coordinates per lifted block, follows from ``kind``.
     Weights (and the dense bias) initialize uniformly in +-1/sqrt(in_dim).
     """
 
@@ -97,30 +74,29 @@ class Layer:
             raise ValueError(f"unknown layer kind {kind!r}")
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
-        if kind == GEOMETRIC and in_dim % 5 != 0:
-            raise ValueError("geometric layer in_dim must be a multiple of 5")
-        if kind == HYPERSPHERE and in_dim < 3:
-            raise ValueError("hypersphere layer in_dim must be at least 3")
+        group = {DENSE: 0, GEOMETRIC: 3, HYPERSPHERE: int(in_dim) - 2}[kind]
+        has_bias = kind == DENSE
+        if not has_bias and (group < 1 or in_dim % (group + 2)):
+            raise ValueError(f"{kind} layer cannot take in_dim {in_dim}")
         self.kind = kind
+        self.group = group
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
         self.activation = activation
         if rng is None:
             self.w = np.zeros((out_dim, in_dim))
-            self.b = np.zeros(out_dim) if kind == DENSE else None
+            self.b = np.zeros(out_dim) if has_bias else None
         else:
             bound = 1.0 / np.sqrt(in_dim)
             self.w = rng.uniform(-bound, bound, (out_dim, in_dim))
-            self.b = rng.uniform(-bound, bound, out_dim) if kind == DENSE else None
+            self.b = rng.uniform(-bound, bound, out_dim) if has_bias else None
 
     @property
     def pre_embed_dim(self):
         """Width of the raw input this layer consumes, before any lift."""
-        if self.kind == DENSE:
+        if self.group == 0:
             return self.in_dim
-        if self.kind == HYPERSPHERE:
-            return self.in_dim - 2
-        return (self.in_dim // 5) * 3
+        return self.in_dim // (self.group + 2) * self.group
 
     @property
     def param_count(self):
@@ -143,11 +119,7 @@ def _embed_for_layer(layer, x):
             f"{layer.kind} layer expects {layer.pre_embed_dim} inputs, "
             f"got {x.shape[1]}"
         )
-    if layer.kind == DENSE:
-        return x
-    if layer.kind == HYPERSPHERE:
-        return embed_vector(x)
-    return embed_pointwise(x.reshape(len(x), -1, 3))
+    return lift(x, layer.group)
 
 
 def embed_input(layer, points):
@@ -188,21 +160,6 @@ def forward(layers, points, first_embedded=None):
     return (x[0] if single else x), trace
 
 
-def _unembed_grad(layer, d_embedded, pre_embed):
-    """Pull a gradient back through the layer's input lift."""
-    if layer.kind == DENSE:
-        return d_embedded
-    if layer.kind == HYPERSPHERE:
-        m = layer.in_dim - 2
-        # last lifted slot is -||z||^2/2; the -1 slot contributes nothing
-        return d_embedded[:, :m] - d_embedded[:, m + 1 : m + 2] * pre_embed
-    k = layer.in_dim // 5
-    d = d_embedded.reshape(len(d_embedded), k, 5)
-    p = pre_embed.reshape(len(pre_embed), k, 3)
-    dx = d[..., :3] - d[..., 4:5] * p
-    return dx.reshape(len(dx), 3 * k)
-
-
 def backward(layers, trace, d_logits):
     """Exact parameter gradients for a forward trace.
 
@@ -224,7 +181,7 @@ def backward(layers, trace, d_logits):
         db = dz.sum(axis=0) if layer.b is not None else None
         grads[i] = (dw, db)
         if i > 0:
-            d = _unembed_grad(layer, dz @ layer.w, t.pre_embed)
+            d = lift_grad(dz @ layer.w, t.pre_embed, layer.group)
     return grads
 
 

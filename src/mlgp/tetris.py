@@ -159,12 +159,12 @@ def make_dataset(kind, size, noise_a=0.0, seed=0, t_range=3.0):
 def save_dataset(dataset, path):
     """Write a dataset as CSV: label plus 12 coordinates per row.
 
-    Floats carry 17 significant digits so a reload is bit-exact.
+    Floats are written by ``repr``, so a reload is bit-exact.
     """
     with open(path, "w") as fh:
         fh.write(DATASET_HEADER + "\n")
         for label, pts in zip(dataset.labels, dataset.points):
-            coords = ",".join(format(v, ".17g") for v in pts.ravel())
+            coords = ",".join(repr(v) for v in pts.ravel().tolist())
             fh.write(f"{int(label)},{coords}\n")
 
 
@@ -189,4 +189,6 @@ def load_dataset(path):
             labels.append(label)
             rows.append([float(v) for v in fields[1:]])
     points = np.asarray(rows, dtype=float).reshape(-1, POINTS_PER_SHAPE, 3)
+    if not np.all(np.isfinite(points)):
+        raise ValueError(f"non-finite coordinate in {path}")
     return LabeledShapeSet(points, np.asarray(labels, dtype=np.int64), {})

@@ -117,3 +117,14 @@ def test_export_spheres_rejects_non_mlgp(tmp_path):
     ckpt = _trained_checkpoint(tmp_path, model="mlhp", epochs=5)
     assert run("export-spheres", "--checkpoint", ckpt,
                "--out", tmp_path / "s.json") == 1
+
+
+def test_export_spheres_rejects_checkpoint_without_key(tmp_path, capsys):
+    ckpt = _trained_checkpoint(tmp_path, epochs=5)
+    doc = _serialize.load(ckpt)
+    del doc["adam_step"]
+    _serialize.save(ckpt, doc)
+    assert run("export-spheres", "--checkpoint", ckpt,
+               "--out", tmp_path / "s.json") == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "adam_step" in err and "\n" not in err

@@ -11,6 +11,8 @@ from mlgp.conformal import (
     embed_point,
     extract_center_radius_sq,
     is_normalized,
+    lift,
+    lift_grad,
     motor_matrix_point,
     motor_matrix_sphere,
     point_normalize,
@@ -33,11 +35,44 @@ def test_embed_point_examples():
     assert np.array_equal(embed_point([2.0]), [2, -1, -2])
 
 
+def test_lift_examples():
+    # whole-vector lift: append -1 and -||z||^2/2
+    assert np.array_equal(lift(np.zeros(4), 4), [0, 0, 0, 0, -1, 0])
+    assert np.array_equal(lift([0.0, 1.0, 0.0], 3), [0, 1, 0, -1, -0.5])
+    z = np.array([0.3, -1.2, 2.0, 0.7])
+    want = np.concatenate([z, [-1.0, -0.5 * (z @ z)]])
+    assert np.allclose(lift(z, 4), want, atol=1e-14)
+    batch = np.arange(6.0).reshape(2, 3)
+    assert lift(batch, 3).shape == (2, 5)
+    # group 3 lifts each point of a flattened shape; group 0 does not lift
+    got = lift([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 3)
+    assert np.array_equal(got, [0, 0, 0, -1, 0, 1, 0, 0, -1, -0.5])
+    assert np.array_equal(lift(batch, 0), batch)
+
+
+def test_lift_grad_is_the_transposed_jacobian():
+    # <d, lift(x + h e_j) - lift(x - h e_j)> / 2h must match lift_grad(d, x)_j
+    rng = np.random.default_rng(21)
+    for group in (0, 3, 12):
+        x = rng.uniform(-3, 3, (2, 12))
+        d = rng.standard_normal(lift(x, group).shape)
+        got = lift_grad(d, x, group)
+        assert got.shape == x.shape
+        h = 1e-6
+        for i, j in np.ndindex(x.shape):
+            step = np.zeros_like(x)
+            step[i, j] = h
+            num = np.sum(d * (lift(x + step, group) - lift(x - step, group))) / (2 * h)
+            assert abs(num - got[i, j]) <= 1e-6 * (1.0 + abs(num))
+
+
 def test_embed_point_rejects_bad_input():
     with pytest.raises(ValueError):
         embed_point([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(ValueError):
         embed_point([np.inf, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        embed_point([])
 
 
 def test_sphere_examples():

@@ -1,5 +1,7 @@
 """Tests for the reference architectures, weight transforms, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from mlgp.models import (
     save_checkpoint,
     transform_mlgp_weights,
 )
-from mlgp.nn import forward
+from mlgp.nn import Layer, forward
 
 
 def random_motion(rng, t_range=3.0):
@@ -45,15 +47,6 @@ def test_build_model_structure():
     assert [l.activation for l in mlgp] == ["identity", "identity"]
     with pytest.raises(ValueError):
         build_model("nope")
-    with pytest.raises(ValueError):
-        build_model("mlgp", hidden_units=0)
-
-
-def test_build_model_custom_width():
-    chain = build_model("mlgp", hidden_units=6)
-    assert chain[0].out_dim == 6
-    assert chain[1].in_dim == 8
-    assert param_count(chain) == 20 * 6 + 8 * 8
 
 
 def test_predict_untrained_uniform():
@@ -119,7 +112,10 @@ def test_transform_gives_exact_activation_isometry():
 def test_transform_isometry_survives_nonlinear_activation():
     # pre-activations match exactly, so any activation keeps the property
     rng = np.random.default_rng(6)
-    layers = build_model("mlgp", rng, hidden_activation="relu")
+    layers = [
+        Layer("geometric", 20, 4, "relu", rng),
+        Layer("hypersphere", 6, 8, "identity", rng),
+    ]
     motion = random_motion(rng)
     moved = transform_mlgp_weights(layers, motion)
     pts = rng.uniform(-3, 3, (8, 4, 3))
@@ -191,3 +187,43 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     layers = build_model("mlp")
     with pytest.raises(ValueError):
         save_checkpoint(tmp_path / "x.json", "nope", layers)
+
+
+def _rewrite_checkpoint(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def test_checkpoint_rejects_missing_key(tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, "mlgp", build_model("mlgp"), adam_step=5)
+    _rewrite_checkpoint(path, lambda doc: doc.pop("adam_step"))
+    with pytest.raises(ValueError, match="adam_step"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_non_finite_weight(tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, "mlgp", build_model("mlgp"))
+
+    def poison(doc):
+        doc["layers"][1]["weights"][0][0] = float("nan")
+
+    _rewrite_checkpoint(path, poison)
+    with pytest.raises(ValueError, match="finite"):
+        load_checkpoint(path)
+    # and a non-finite weight never gets written in the first place
+    layers = build_model("mlgp")
+    layers[0].w[0, 0] = np.inf
+    with pytest.raises(ValueError):
+        save_checkpoint(tmp_path / "inf.json", "mlgp", layers)
+
+
+def test_checkpoint_rejects_unchained_widths(tmp_path):
+    # a 20 -> 4 geometric layer feeding a hypersphere layer that takes 5 inputs
+    path = tmp_path / "ckpt.json"
+    layers = [Layer("geometric", 20, 4), Layer("hypersphere", 7, 8)]
+    save_checkpoint(path, "mlgp", layers)
+    with pytest.raises(ValueError, match="chain"):
+        load_checkpoint(path)

@@ -13,7 +13,6 @@ from mlgp.nn import (
     backward,
     embed_input,
     embed_pointwise,
-    embed_vector,
     forward,
     softmax,
     softmax_cross_entropy,
@@ -44,16 +43,6 @@ def test_embed_pointwise_batch_and_validation():
         assert np.array_equal(v[i], embed_pointwise(batch[i]))
     with pytest.raises(ValueError):
         embed_pointwise(np.zeros((4, 2)))
-
-
-def test_embed_vector_examples():
-    assert np.array_equal(embed_vector(np.zeros(4)), [0, 0, 0, 0, -1, 0])
-    assert np.array_equal(embed_vector([0.0, 1.0, 0.0]), [0, 1, 0, -1, -0.5])
-    # same lift formula as a conformal point in higher dimension
-    z = np.array([0.3, -1.2, 2.0, 0.7])
-    assert np.allclose(embed_vector(z), embed_point(z), atol=1e-14)
-    batch = np.arange(6.0).reshape(2, 3)
-    assert embed_vector(batch).shape == (2, 5)
 
 
 def test_layer_construction():
@@ -130,7 +119,7 @@ def test_forward_matches_direct_matrix_evaluation():
     pts = rng.uniform(-3, 3, (4, 3))
     logits, _ = forward(layers, pts)
     h = layers[0].w @ embed_pointwise(pts)
-    want = layers[1].w @ embed_vector(h)
+    want = layers[1].w @ embed_point(h)
     assert np.allclose(logits, want, atol=1e-12)
 
 

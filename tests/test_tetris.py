@@ -211,3 +211,11 @@ def test_load_dataset_validation(tmp_path):
     path.write_text(DATASET_HEADER + "\n9," + ",".join(["0"] * 12) + "\n")
     with pytest.raises(ValueError):
         load_dataset(path)
+
+
+def test_load_dataset_rejects_non_finite(tmp_path):
+    path = tmp_path / "nan.csv"
+    for bad in ("nan", "inf"):
+        path.write_text(DATASET_HEADER + "\n1," + ",".join(["0"] * 11 + [bad]) + "\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            load_dataset(path)
