@@ -20,11 +20,11 @@ rng = np.random.default_rng(21)
 
 print("1. Train a geometric model briefly")
 train_set = make_dataset("main", 1000, seed=20)
-layers = build_model("mlgp", rng)
-fit(layers, train_set.points, train_set.labels, 5000)
+model = build_model("mlgp", rng)
+fit(model, train_set.points, train_set.labels, 5000)
 
 print("2. Extract the spheres")
-report = export_spheres(layers)
+report = export_spheres(model)
 print(f"   {'unit':>4s} {'block':>5s} {'gamma':>8s} {'center':>26s} {'r^2':>8s} kind")
 for unit in report["units"]:
     for s in unit["spheres"]:
@@ -45,6 +45,6 @@ print(f"   {n_o} O-spheres, {n_imag} imaginary radii out of 16")
 print("3. The report serializes for downstream plotting")
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "spheres.json"
-    export_spheres(layers, path)
+    export_spheres(model, path)
     print(f"   wrote {path.stat().st_size} bytes, starts with:")
     print("   " + path.read_text().splitlines()[1].strip())

@@ -21,13 +21,13 @@ print(f"train {len(train_set)} shapes, test {len(test_set)} shapes")
 print(f"{'model':6s} {'params':>6s} {'loss':>8s} {'test acc':>9s} {'time':>6s}")
 for kind in MODEL_KINDS:
     rng = np.random.default_rng(3)
-    layers = build_model(kind, rng)
+    model = build_model(kind, rng)
     start = time.perf_counter()
-    losses = fit(layers, train_set.points, train_set.labels, EPOCHS)
+    losses = fit(model, train_set.points, train_set.labels, EPOCHS)
     wall = time.perf_counter() - start
-    acc = accuracy(layers, test_set.points, test_set.labels)
+    acc = accuracy(model, test_set.points, test_set.labels)
     print(
-        f"{kind:6s} {param_count(layers):6d} {losses[-1]:8.4f} "
+        f"{kind:6s} {param_count(model):6d} {losses[-1]:8.4f} "
         f"{acc * 100:8.2f}% {wall:5.1f}s"
     )
 

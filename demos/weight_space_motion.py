@@ -24,24 +24,24 @@ rng = np.random.default_rng(5)
 
 print("1. Train a small geometric model")
 train_set = make_dataset("main", 1000, seed=10)
-layers = build_model("mlgp", rng)
-fit(layers, train_set.points, train_set.labels, 5000)
+model = build_model("mlgp", rng)
+fit(model, train_set.points, train_set.labels, 5000)
 
 print("2. One motion, applied to data and weights together")
 motion = sample_motion(rng)
-moved = transform_mlgp_weights(layers, motion)
+moved = transform_mlgp_weights(model, motion)
 pts = make_dataset("main", 64, seed=11).points
-base, _ = forward(layers, pts)
+base, _ = forward(model, pts)
 same, _ = forward(moved, motion.apply(pts))
 print(f"   max |logit difference| = {np.abs(same - base).max():.2e}")
 
 print("3. Mismatched combinations break the agreement")
-crossed, _ = forward(layers, motion.apply(pts))
+crossed, _ = forward(model, motion.apply(pts))
 print(f"   original weights on moved data: max diff {np.abs(crossed - base).max():.2f}")
 
 print("4. Over many sampled motions (the quantitative experiment)")
 test_set = make_dataset("main", 2000, seed=12)
-report = isometry_test(layers, test_set, trials=25, seed=13)
+report = isometry_test(model, test_set, trials=25, seed=13)
 for combo in COMBO_NAMES:
     mean, std = report.mean_std(combo)
     print(f"   {combo:36s} {mean:6.2f} +- {std:.2f}")

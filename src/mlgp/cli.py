@@ -100,9 +100,9 @@ def _cmd_gen_data(args):
 def _cmd_train(args):
     train_set = tetris.load_dataset(args.train_path)
     rng = np.random.default_rng(args.seed)
-    layers = models.build_model(args.model, rng)
+    model = models.build_model(args.model, rng)
     losses = experiment.fit(
-        layers,
+        model,
         train_set.points,
         train_set.labels,
         args.epochs,
@@ -114,14 +114,14 @@ def _cmd_train(args):
     print(f"trained {args.model} for {args.epochs} epochs, final loss {final_loss:.6f}")
     print(
         "train accuracy "
-        f"{models.accuracy(layers, train_set.points, train_set.labels) * 100:.2f}%"
+        f"{models.accuracy(model, train_set.points, train_set.labels) * 100:.2f}%"
     )
     for name, path in (("val", args.val_path), ("test", args.test_path)):
         if path:
             data = tetris.load_dataset(path)
-            acc = models.accuracy(layers, data.points, data.labels)
+            acc = models.accuracy(model, data.points, data.labels)
             print(f"{name} accuracy {acc * 100:.2f}%")
-    models.save_checkpoint(args.out, args.model, layers, adam_step=args.epochs)
+    models.save_checkpoint(args.out, args.model, model, adam_step=args.epochs)
     print(f"checkpoint saved to {args.out}")
     return 0
 
@@ -167,12 +167,9 @@ def _cmd_protocol(args):
 
 
 def _cmd_isometry_test(args):
-    kind, layers, _ = models.load_checkpoint(args.checkpoint)
-    if kind != models.MLGP:
-        print(f"isometry test requires an mlgp checkpoint, got {kind}", file=sys.stderr)
-        return 1
+    _, model, _ = models.load_checkpoint(args.checkpoint)
     test_set = tetris.load_dataset(args.test_path)
-    report = experiment.isometry_test(layers, test_set, args.trials, args.seed)
+    report = experiment.isometry_test(model, test_set, args.trials, args.seed)
     for combo in experiment.COMBO_NAMES:
         mean, std = report.mean_std(combo)
         print(f"{combo}: {mean:.2f} +- {std:.2f}")
@@ -184,11 +181,8 @@ def _cmd_isometry_test(args):
 
 
 def _cmd_export_spheres(args):
-    kind, layers, _ = models.load_checkpoint(args.checkpoint)
-    if kind != models.MLGP:
-        print(f"sphere export requires an mlgp checkpoint, got {kind}", file=sys.stderr)
-        return 1
-    report = experiment.export_spheres(layers, args.out)
+    _, model, _ = models.load_checkpoint(args.checkpoint)
+    report = experiment.export_spheres(model, args.out)
     n = sum(len(u["spheres"]) for u in report["units"])
     print(f"wrote {n} spheres from {len(report['units'])} units to {args.out}")
     return 0

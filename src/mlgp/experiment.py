@@ -22,12 +22,13 @@ import numpy as np
 from . import _serialize, tetris
 from .conformal import DegenerateSphereError, extract_center_radius_sq, point_normalize
 from .models import (
+    MLGP,
     MODEL_KINDS,
     accuracy,
     build_model,
     transform_mlgp_weights,
 )
-from .nn import GEOMETRIC, Adam, backward, embed_input, forward, softmax_cross_entropy
+from .nn import Adam, backward, embed_input, forward, softmax_cross_entropy
 from .tetris import make_dataset, sample_motion
 
 MAIN_EXPERIMENT = "main"
@@ -120,7 +121,7 @@ class ProtocolResult:
     chains: dict = field(default_factory=dict)
 
     def best_chain(self, model_kind):
-        """Trained chain with the highest validation accuracy (kept runs)."""
+        """Trained model with the highest validation accuracy (kept runs)."""
         recs = [r for r in self.records if r.model == model_kind]
         if not recs or not self.chains:
             raise ValueError(f"no stored runs for {model_kind!r}")
@@ -154,21 +155,20 @@ def run_seeds(config, model_kind):
     return [derive_seed(config.master_seed, 1, idx, r) for r in range(config.runs)]
 
 
-def fit(layers, points, labels, epochs, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+def fit(model, points, labels, epochs, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
     """Full-batch Adam on softmax cross-entropy; returns per-epoch losses.
 
     The first layer's input lift has no parameters, so it is computed once
     and reused every epoch.
     """
-    first = embed_input(layers[0], points)
+    first = embed_input(model.layers[0], points)
     labels = np.asarray(labels)
-    opt = Adam(layers, lr, beta1, beta2, eps)
+    opt = Adam(model.theta, lr, beta1, beta2, eps)
     losses = np.empty(epochs)
     for epoch in range(epochs):
-        logits, trace = forward(layers, points, first_embedded=first)
+        logits, trace = forward(model, points, first_embedded=first)
         loss, dlogits = softmax_cross_entropy(logits, labels)
-        grads = backward(layers, trace, dlogits)
-        opt.step(layers, grads)
+        opt.step(backward(model, trace, dlogits))
         losses[epoch] = loss
     return losses
 
@@ -186,10 +186,10 @@ def train(config, model_kind, seed, test_set, run_id=0):
     train_set = make_dataset(train_kind, config.train_size, config.noise_a, data_seed)
     val_set = make_dataset(eval_kind, config.val_size, config.noise_a, val_seed)
     rng = np.random.default_rng(init_seed)
-    layers = build_model(model_kind, rng)
+    model = build_model(model_kind, rng)
     start = time.perf_counter()
     fit(
-        layers,
+        model,
         train_set.points,
         train_set.labels,
         config.epochs,
@@ -202,11 +202,11 @@ def train(config, model_kind, seed, test_set, run_id=0):
         run_id=run_id,
         model=model_kind,
         seed=seed,
-        val_accuracy=accuracy(layers, val_set.points, val_set.labels),
-        test_accuracy=accuracy(layers, test_set.points, test_set.labels),
+        val_accuracy=accuracy(model, val_set.points, val_set.labels),
+        test_accuracy=accuracy(model, test_set.points, test_set.labels),
         wall_time=wall,
     )
-    return layers, record
+    return model, record
 
 
 def summarize_records(records, config):
@@ -251,17 +251,17 @@ def run_protocol(config, keep_models=False, progress=None):
     """Train every configured model for the configured number of runs.
 
     ``progress(record)`` is called after each run.  With ``keep_models``
-    the trained chains are retained, keyed by ``(model, run_id)``.
+    the trained models are retained, keyed by ``(model, run_id)``.
     """
     test_set = make_test_set(config)
     records = []
     chains = {}
     for model_kind in config.models:
         for run_id, seed in enumerate(run_seeds(config, model_kind)):
-            layers, record = train(config, model_kind, seed, test_set, run_id)
+            model, record = train(config, model_kind, seed, test_set, run_id)
             records.append(record)
             if keep_models:
-                chains[(model_kind, run_id)] = layers
+                chains[(model_kind, run_id)] = model
             if progress is not None:
                 progress(record)
     stats = summarize_records(records, config)
@@ -340,7 +340,7 @@ class IsometryReport:
         return same and self.max_logit_deviation <= LOGIT_ISOMETRY_TOL
 
 
-def isometry_test(layers, test_set, trials=100, seed=0, t_range=3.0):
+def isometry_test(model, test_set, trials=100, seed=0, t_range=3.0):
     """Compare weight-space and data-space rigid motions on a trained model.
 
     Each trial samples one motion, moves the test shapes with it, moves the
@@ -349,23 +349,23 @@ def isometry_test(layers, test_set, trials=100, seed=0, t_range=3.0):
     original logits to within numerical precision, so its accuracy column
     is constant; the mismatched combinations degrade.
     """
-    if not layers or layers[0].kind != GEOMETRIC:
-        raise ValueError("isometry test requires a geometric first layer")
+    if model.kind != MLGP:
+        raise ValueError(f"isometry test requires an mlgp model, got {model.kind}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     pts, labels = test_set.points, test_set.labels
-    base_logits, _ = forward(layers, pts)
+    base_logits, _ = forward(model, pts)
     base_acc = float(np.mean(np.argmax(base_logits, axis=1) == labels)) * 100.0
     accs = {name: np.empty(trials) for name in COMBO_NAMES}
     max_dev = 0.0
     for t in range(trials):
         motion = sample_motion(rng, t_range=t_range)
         moved_pts = motion.apply(pts)
-        moved_layers = transform_mlgp_weights(layers, motion)
-        logits_tt, _ = forward(moved_layers, moved_pts)
-        logits_ot, _ = forward(layers, moved_pts)
-        logits_to, _ = forward(moved_layers, pts)
+        moved_model = transform_mlgp_weights(model, motion)
+        logits_tt, _ = forward(moved_model, moved_pts)
+        logits_ot, _ = forward(model, moved_pts)
+        logits_to, _ = forward(moved_model, pts)
         max_dev = max(max_dev, float(np.abs(logits_tt - base_logits).max()))
         accs[COMBO_NAMES[0]][t] = base_acc
         for name, logits in (
@@ -380,8 +380,8 @@ def isometry_test(layers, test_set, trials=100, seed=0, t_range=3.0):
 SPHERES_FORMAT = "mlgp-spheres-v1"
 
 
-def export_spheres(layers, path=None):
-    """Decision spheres of a geometric first layer, one per weight 5-block.
+def export_spheres(model, path=None):
+    """Decision spheres of an mlgp model, one per first-layer weight 5-block.
 
     Each block is point-normalized to recover its scale factor, center, and
     squared radius.  Negative squared radii are preserved (imaginary
@@ -389,9 +389,9 @@ def export_spheres(layers, path=None):
     geometric fields null.  Positive scale factors respond to points inside
     the sphere ("I"), negative ones to points outside ("O").
     """
-    if not layers or layers[0].kind != GEOMETRIC:
-        raise ValueError("sphere export requires a geometric first layer")
-    first = layers[0]
+    if model.kind != MLGP:
+        raise ValueError(f"sphere export requires an mlgp model, got {model.kind}")
+    first = model.layers[0]
     units = []
     for u in range(first.out_dim):
         blocks = first.w[u].reshape(-1, first.group + 2)

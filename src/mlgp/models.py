@@ -9,23 +9,22 @@ loss or by :func:`predict`):
 * ``mlgp``  - point-wise lift to 20 -> geometric(20 -> 4) -> lift to 6
               -> hypersphere(6 -> 8), no biases; 128 params.
 
+A :class:`Model` is its kind plus one float64 vector ``theta``; layer shapes
+come from ``ARCHITECTURES`` alone, and each layer's weights and bias are
+views into ``theta``, so copies, training and checkpoints handle one vector.
+
 The geometric first layer of ``mlgp`` admits an exact weight-space rigid
 motion action (:func:`transform_mlgp_weights`): moving the input shape and
 the weights together leaves every activation unchanged.
 """
 
+from itertools import accumulate
+
 import numpy as np
 
 from . import _serialize
 from .conformal import RigidMotion, motor_matrix_sphere
-from .nn import (
-    DENSE,
-    GEOMETRIC,
-    HYPERSPHERE,
-    Layer,
-    forward,
-    softmax,
-)
+from .nn import DENSE, GEOMETRIC, HYPERSPHERE, Layer, forward, softmax
 
 MLP = "mlp"
 MLHP = "mlhp"
@@ -42,59 +41,75 @@ ARCHITECTURES = {
 CHECKPOINT_FORMAT = "mlgp-checkpoint-v1"
 
 
+class Model:
+    """A classifier whose parameters all live in one float64 vector ``theta``.
+
+    ``theta`` holds, per layer of ``ARCHITECTURES[kind]``, the row-major
+    weights, then a dense layer's bias; ``layers`` view it.  It starts at
+    zero unless given.
+    """
+
+    def __init__(self, kind, theta=None):
+        if kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {kind!r}")
+        specs = ARCHITECTURES[kind]
+        sizes = [out_dim * (in_dim + (lk == DENSE)) for lk, in_dim, out_dim, _ in specs]
+        starts = [0, *accumulate(sizes)]
+        self.kind = kind
+        self.theta = np.zeros(starts[-1]) if theta is None else theta
+        spans = zip(specs, starts, starts[1:])
+        self.layers = [Layer(*spec, self.theta[a:b]) for spec, a, b in spans]
+
+    def copy(self):
+        """An independent model with a copy of ``theta``."""
+        return Model(self.kind, self.theta.copy())
+
+
 def build_model(kind, rng=None):
-    """Construct a fresh layer chain for ``kind``.
+    """A fresh model of ``kind``.
 
     The parameter counts are exactly 134 (mlp), 126 (mlhp), and 128 (mlgp).
-    ``rng=None`` gives all-zero parameters.
+    Each layer's weights and bias are drawn in one uniform draw in
+    +-1/sqrt(in_dim); ``rng=None`` gives all-zero parameters.
     """
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    return [Layer(*spec, rng=rng) for spec in ARCHITECTURES[kind]]
+    model = Model(kind)
+    if rng is not None:
+        for layer in model.layers:
+            bound = 1.0 / np.sqrt(layer.in_dim)
+            layer.params[:] = rng.uniform(-bound, bound, layer.params.size)
+    return model
 
 
-def param_count(layers):
-    return sum(layer.param_count for layer in layers)
+def param_count(model):
+    return model.theta.size
 
 
-def copy_layers(layers):
-    """Deep copy of a chain (weights and biases duplicated)."""
-    out = []
-    for layer in layers:
-        dup = Layer(layer.kind, layer.in_dim, layer.out_dim, layer.activation)
-        dup.w = layer.w.copy()
-        dup.b = layer.b.copy() if layer.b is not None else None
-        out.append(dup)
-    return out
-
-
-def transform_mlgp_weights(layers, motion):
-    """Apply a rigid motion to a geometric first layer, in weight space.
+def transform_mlgp_weights(model, motion):
+    """Apply a rigid motion to an mlgp model's geometric first layer.
 
     Each unit's weight vector splits into four consecutive 5-blocks; every
     block is left-multiplied by the sphere-form motor matrix of ``motion``.
-    Returns a new chain; later layers are copied untouched.  The transformed
-    model evaluated on moved inputs reproduces the original logits, and the
-    inverse motion's transform undoes this one.
+    Returns a new model whose later layers are copied untouched.  The
+    transformed model evaluated on moved inputs reproduces the original
+    logits, and the inverse motion's transform undoes this one.
     """
-    if not layers or layers[0].kind != GEOMETRIC:
-        raise ValueError("weight transform requires a geometric first layer")
+    if model.kind != MLGP:
+        raise ValueError("weight transform requires an mlgp model")
     if not isinstance(motion, RigidMotion):
         raise TypeError("motion must be a RigidMotion")
-    out = copy_layers(layers)
-    first = out[0]
-    mat = motor_matrix_sphere(motion)
+    out = model.copy()
+    first = out.layers[0]
     blocks = first.w.reshape(first.out_dim, -1, first.group + 2)
-    first.w = np.einsum("ij,ukj->uki", mat, blocks).reshape(first.w.shape)
+    blocks[:] = np.einsum("ij,ukj->uki", motor_matrix_sphere(motion), blocks)
     return out
 
 
-def predict(layers, points):
+def predict(model, points):
     """Class labels and softmax probabilities for one shape or a batch.
 
     Argmax ties resolve to the lowest label index.
     """
-    logits, _ = forward(layers, points)
+    logits, _ = forward(model, points)
     probs = softmax(logits)
     labels = np.argmax(probs, axis=-1)
     if probs.ndim == 1:
@@ -102,16 +117,16 @@ def predict(layers, points):
     return labels, probs
 
 
-def accuracy(layers, points, labels):
+def accuracy(model, points, labels):
     """Fraction of shapes assigned their true label, in [0, 1]."""
-    predicted, _ = predict(layers, points)
+    predicted, _ = predict(model, points)
     return float(np.mean(predicted == np.asarray(labels)))
 
 
-def save_checkpoint(path, kind, layers, adam_step=0):
-    """Write a model to a text checkpoint that reloads bit for bit."""
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
+def save_checkpoint(path, kind, model, adam_step=0):
+    """Write a model of ``kind`` to a text checkpoint that reloads bit for bit."""
+    if kind != model.kind:
+        raise ValueError(f"cannot save a {model.kind} model as {kind!r}")
     doc = {
         "format": CHECKPOINT_FORMAT,
         "model": kind,
@@ -125,43 +140,42 @@ def save_checkpoint(path, kind, layers, adam_step=0):
                 "weights": layer.w,
                 "bias": layer.b,
             }
-            for layer in layers
+            for layer in model.layers
         ],
     }
     _serialize.save(path, doc)
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns ``(kind, layers, adam_step)``.
+    """Read a checkpoint; returns ``(kind, model, adam_step)``.
 
-    A malformed file raises ValueError: a missing key, an unknown model,
-    layer kind or activation, a misshapen or non-finite parameter, or layer
-    widths that do not chain from the 12 shape coordinates to the 8 logits.
+    A malformed file raises ValueError: a missing key, an unknown model, a
+    layer list other than the model's architecture, or a misshapen or
+    non-finite parameter.  The layers are checked against ``ARCHITECTURES``
+    before anything is allocated.
     """
     doc = _serialize.load(path)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a model checkpoint: {path}")
     try:
         kind = doc["model"]
-        layers = [_load_layer(spec, path) for spec in doc["layers"]]
+        if kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {kind!r} in {path}")
+        specs = doc["layers"]
+        stated = ((s["kind"], s["in_dim"], s["out_dim"], s["activation"]) for s in specs)
+        if tuple(stated) != ARCHITECTURES[kind]:
+            raise ValueError(f"layers in {path} do not match the {kind} architecture")
+        model = Model(kind)
+        for layer, spec in zip(model.layers, specs):
+            layer.w[:] = _load_param(spec["weights"], layer.w.shape, path)
+            if layer.b is not None:
+                layer.b[:] = _load_param(spec["bias"], layer.b.shape, path)
+            elif spec["bias"] is not None:
+                raise ValueError(f"unexpected bias in {path}")
         adam_step = int(doc["adam_step"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed checkpoint {path}: {exc!r}") from None
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r} in {path}")
-    produced = [12] + [layer.out_dim for layer in layers]
-    consumed = [layer.pre_embed_dim for layer in layers] + [8]
-    if produced != consumed:
-        raise ValueError(f"layer widths do not chain 12 -> ... -> 8 in {path}")
-    return kind, layers, adam_step
-
-
-def _load_layer(spec, path):
-    layer = Layer(spec["kind"], spec["in_dim"], spec["out_dim"], spec["activation"])
-    layer.w = _load_param(spec["weights"], layer.w.shape, path)
-    if layer.b is not None or spec["bias"] is not None:
-        layer.b = _load_param(spec["bias"], np.shape(layer.b), path)
-    return layer
+    return kind, model, adam_step
 
 
 def _load_param(values, shape, path):

@@ -1,5 +1,8 @@
 """Layers, exact hand-derived gradients, softmax cross-entropy, and Adam.
 
+A model's parameters are one float64 vector ``theta`` that its layers view;
+:func:`backward` returns the gradient in that layout, for :class:`Adam`.
+
 Every layer computes ``activation(W @ lift(x, group))`` with the conformal
 lift of :mod:`mlgp.conformal`.  The layer kinds differ only in ``group``:
 ``dense`` has 0 (no lift; a bias instead), ``geometric`` has 3 (each 3D
@@ -17,31 +20,22 @@ from .conformal import lift, lift_grad
 DENSE = "dense"
 GEOMETRIC = "geometric"
 HYPERSPHERE = "hypersphere"
-LAYER_KINDS = (DENSE, GEOMETRIC, HYPERSPHERE)
 
-ACTIVATIONS = ("identity", "sigmoid", "tanh", "relu")
+ACTIVATIONS = ("identity", "relu")
 
 
 def apply_activation(name, z):
     if name == "identity":
         return z
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    if name == "tanh":
-        return np.tanh(z)
     if name == "relu":
         return np.maximum(z, 0.0)
     raise ValueError(f"unknown activation {name!r}")
 
 
-def activation_derivative(name, z, out):
-    """Elementwise f'(z), reusing the forward output where it helps."""
+def activation_derivative(name, z):
+    """Elementwise f'(z)."""
     if name == "identity":
         return np.ones_like(z)
-    if name == "sigmoid":
-        return out * (1.0 - out)
-    if name == "tanh":
-        return 1.0 - out * out
     if name == "relu":
         # subgradient at 0 is 0
         return (z > 0.0).astype(float)
@@ -61,35 +55,26 @@ def embed_pointwise(points):
 
 
 class Layer:
-    """One trainable layer: weight matrix, optional bias, activation.
+    """One layer of a model: its shape, its activation, and parameter views.
 
     ``in_dim`` counts the features the weights multiply, i.e. after any lift:
     5k for geometric (k input points), m+2 for hypersphere (m-dim input).
     ``group``, the input coordinates per lifted block, follows from ``kind``.
-    Weights (and the dense bias) initialize uniformly in +-1/sqrt(in_dim).
+    ``params`` is the layer's stretch of the model's parameter vector: the
+    row-major (out_dim, in_dim) weights, then a dense layer's out_dim biases.
+    ``w`` and ``b`` are views into it (``b`` is None without a bias).
     """
 
-    def __init__(self, kind, in_dim, out_dim, activation="identity", rng=None):
-        if kind not in LAYER_KINDS:
-            raise ValueError(f"unknown layer kind {kind!r}")
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
-        group = {DENSE: 0, GEOMETRIC: 3, HYPERSPHERE: int(in_dim) - 2}[kind]
-        has_bias = kind == DENSE
-        if not has_bias and (group < 1 or in_dim % (group + 2)):
-            raise ValueError(f"{kind} layer cannot take in_dim {in_dim}")
+    def __init__(self, kind, in_dim, out_dim, activation, params):
         self.kind = kind
-        self.group = group
-        self.in_dim = int(in_dim)
-        self.out_dim = int(out_dim)
+        self.group = {DENSE: 0, GEOMETRIC: 3, HYPERSPHERE: in_dim - 2}[kind]
+        self.in_dim = in_dim
+        self.out_dim = out_dim
         self.activation = activation
-        if rng is None:
-            self.w = np.zeros((out_dim, in_dim))
-            self.b = np.zeros(out_dim) if has_bias else None
-        else:
-            bound = 1.0 / np.sqrt(in_dim)
-            self.w = rng.uniform(-bound, bound, (out_dim, in_dim))
-            self.b = rng.uniform(-bound, bound, out_dim) if has_bias else None
+        self.params = params
+        n_w = out_dim * in_dim
+        self.w = params[:n_w].reshape(out_dim, in_dim)
+        self.b = params[n_w:] if kind == DENSE else None
 
     @property
     def pre_embed_dim(self):
@@ -97,10 +82,6 @@ class Layer:
         if self.group == 0:
             return self.in_dim
         return self.in_dim // (self.group + 2) * self.group
-
-    @property
-    def param_count(self):
-        return self.w.size + (self.b.size if self.b is not None else 0)
 
 
 @dataclass
@@ -110,7 +91,6 @@ class LayerTrace:
     pre_embed: np.ndarray  # raw input (batch, m); None when precomputed
     embedded: np.ndarray   # features the weights multiplied (batch, in_dim)
     pre_act: np.ndarray    # (batch, out_dim)
-    out: np.ndarray        # activation(pre_act)
 
 
 def _embed_for_layer(layer, x):
@@ -134,8 +114,8 @@ def embed_input(layer, points):
     return _embed_for_layer(layer, pts.reshape(len(pts), -1))
 
 
-def forward(layers, points, first_embedded=None):
-    """Run the chain on one sample (4, 3) or a batch (batch, 4, 3).
+def forward(model, points, first_embedded=None):
+    """Run a model on one sample (4, 3) or a batch (batch, 4, 3).
 
     Returns ``(logits, trace)`` where trace is a list of LayerTrace.  The
     trace keeps the batch axis even for a single sample.
@@ -146,7 +126,7 @@ def forward(layers, points, first_embedded=None):
         pts = pts[None]
     x = pts.reshape(len(pts), -1)
     trace = []
-    for i, layer in enumerate(layers):
+    for i, layer in enumerate(model.layers):
         if i == 0 and first_embedded is not None:
             embedded, pre_embed = first_embedded, None
         else:
@@ -154,35 +134,35 @@ def forward(layers, points, first_embedded=None):
         pre_act = embedded @ layer.w.T
         if layer.b is not None:
             pre_act = pre_act + layer.b
-        out = apply_activation(layer.activation, pre_act)
-        trace.append(LayerTrace(pre_embed, embedded, pre_act, out))
-        x = out
+        trace.append(LayerTrace(pre_embed, embedded, pre_act))
+        x = apply_activation(layer.activation, pre_act)
     return (x[0] if single else x), trace
 
 
-def backward(layers, trace, d_logits):
-    """Exact parameter gradients for a forward trace.
+def backward(model, trace, d_logits):
+    """Exact gradient of the loss with respect to ``model.theta``.
 
-    Returns one ``(d_weights, d_bias)`` pair per layer (``d_bias`` is None
-    for layers without a bias).  The lift of the raw model input carries no
-    parameters, so no gradient is propagated past the first layer.
+    Returns one vector in ``theta``'s layout: layer by layer, the row-major
+    weight gradient, then a dense layer's bias gradient.  The lift of the
+    raw model input carries no parameters, so no gradient is propagated
+    past the first layer.
     """
     d = np.asarray(d_logits, dtype=float)
     if d.ndim == 1:
         d = d[None]
-    grads = [None] * len(layers)
-    for i in range(len(layers) - 1, -1, -1):
-        layer, t = layers[i], trace[i]
+    parts = []
+    for i in range(len(model.layers) - 1, -1, -1):
+        layer, t = model.layers[i], trace[i]
         if layer.activation == "identity":
             dz = d
         else:
-            dz = d * activation_derivative(layer.activation, t.pre_act, t.out)
-        dw = dz.T @ t.embedded
-        db = dz.sum(axis=0) if layer.b is not None else None
-        grads[i] = (dw, db)
+            dz = d * activation_derivative(layer.activation, t.pre_act)
+        if layer.b is not None:
+            parts.append(dz.sum(axis=0))
+        parts.append((dz.T @ t.embedded).ravel())
         if i > 0:
             d = lift_grad(dz @ layer.w, t.pre_embed, layer.group)
-    return grads
+    return np.concatenate(parts[::-1])
 
 
 def softmax(logits):
@@ -219,36 +199,24 @@ def softmax_cross_entropy(logits, labels):
 
 
 class Adam:
-    """Bias-corrected Adam over a layer chain; updates weights in place."""
+    """Bias-corrected Adam (Kingma & Ba, arXiv 1412.6980), in place on ``theta``."""
 
-    def __init__(self, layers, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, theta, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.theta = theta
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._slots = [
-            {
-                "mw": np.zeros_like(layer.w),
-                "vw": np.zeros_like(layer.w),
-                "mb": np.zeros_like(layer.b) if layer.b is not None else None,
-                "vb": np.zeros_like(layer.b) if layer.b is not None else None,
-            }
-            for layer in layers
-        ]
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
 
-    def _update(self, param, grad, m, v):
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * (grad * grad)
-        m_hat = m / (1.0 - self.beta1**self.t)
-        v_hat = v / (1.0 - self.beta2**self.t)
-        param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def step(self, layers, grads):
+    def step(self, grad):
         self.t += 1
-        for layer, (dw, db), slot in zip(layers, grads, self._slots):
-            self._update(layer.w, dw, slot["mw"], slot["vw"])
-            if layer.b is not None:
-                self._update(layer.b, db, slot["mb"], slot["vb"])
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * (grad * grad)
+        m_hat = self.m / (1.0 - self.beta1**self.t)
+        v_hat = self.v / (1.0 - self.beta2**self.t)
+        self.theta -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

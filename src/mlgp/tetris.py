@@ -159,8 +159,11 @@ def make_dataset(kind, size, noise_a=0.0, seed=0, t_range=3.0):
 def save_dataset(dataset, path):
     """Write a dataset as CSV: label plus 12 coordinates per row.
 
-    Floats are written by ``repr``, so a reload is bit-exact.
+    Floats are written by ``repr``, so a reload is bit-exact.  Non-finite
+    coordinates, which :func:`load_dataset` refuses, raise ValueError.
     """
+    if not np.all(np.isfinite(dataset.points)):
+        raise ValueError("cannot save a dataset with a non-finite coordinate")
     with open(path, "w") as fh:
         fh.write(DATASET_HEADER + "\n")
         for label, pts in zip(dataset.labels, dataset.points):

@@ -127,36 +127,31 @@ def test_criterion_06_gradients_match_finite_differences(capsys):
     worst_overall = 0.0
     for kind, seed in (("mlp", 106), ("mlhp", 107), ("mlgp", 108)):
         rng = np.random.default_rng(seed)
-        layers = build_model(kind, rng)
+        model = build_model(kind, rng)
         pts = rng.uniform(-3, 3, (4, 4, 3))
         labels = rng.integers(0, 8, 4)
 
         def loss_of():
-            logits, _ = forward(layers, pts)
+            logits, _ = forward(model, pts)
             return softmax_cross_entropy(logits, labels)[0]
 
-        logits, trace = forward(layers, pts)
+        logits, trace = forward(model, pts)
         _, dlogits = softmax_cross_entropy(logits, labels)
-        grads = backward(layers, trace, dlogits)
-        for layer, (dw, db) in zip(layers, grads):
-            for arr, grad in ((layer.w, dw), (layer.b, db)):
-                if arr is None:
-                    continue
-                it = np.nditer(arr, flags=["multi_index"])
-                for _ in it:
-                    idx = it.multi_index
-                    old = arr[idx]
-                    arr[idx] = old + h
-                    up = loss_of()
-                    arr[idx] = old - h
-                    down = loss_of()
-                    arr[idx] = old
-                    num = (up - down) / (2 * h)
-                    scale = max(abs(num), abs(grad[idx]))
-                    if scale > 1e-8:
-                        worst_overall = max(
-                            worst_overall, abs(num - grad[idx]) / scale
-                        )
+        grad = backward(model, trace, dlogits)
+        theta = model.theta
+        for idx in range(theta.size):
+            old = theta[idx]
+            theta[idx] = old + h
+            up = loss_of()
+            theta[idx] = old - h
+            down = loss_of()
+            theta[idx] = old
+            num = (up - down) / (2 * h)
+            scale = max(abs(num), abs(grad[idx]))
+            if scale > 1e-8:
+                worst_overall = max(
+                    worst_overall, abs(num - grad[idx]) / scale
+                )
     report(capsys, 6, worst_overall < 1e-5,
            f"all parameters, central differences, worst rel err {worst_overall:.2e}")
 

@@ -128,3 +128,17 @@ def test_export_spheres_rejects_checkpoint_without_key(tmp_path, capsys):
                "--out", tmp_path / "s.json") == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "adam_step" in err and "\n" not in err
+
+
+def test_isometry_test_rejects_oversized_layer_before_allocating(tmp_path, capsys):
+    # a stated in_dim of 10**13 would need petabytes if it were allocated
+    ckpt = _trained_checkpoint(tmp_path, epochs=5)
+    doc = _serialize.load(ckpt)
+    doc["layers"][0]["in_dim"] = 10**13
+    _serialize.save(ckpt, doc)
+    test = tmp_path / "test.csv"
+    run("gen-data", "--size", "16", "--seed", "15", "--out", test)
+    capsys.readouterr()
+    assert run("isometry-test", "--checkpoint", ckpt, "--test", test) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "architecture" in err and "\n" not in err

@@ -24,7 +24,7 @@ from mlgp.experiment import (
     summarize_records,
     train,
 )
-from mlgp.models import build_model, copy_layers
+from mlgp.models import build_model
 from mlgp.tetris import THETA_EVAL, make_dataset
 
 TINY = ProtocolConfig(
@@ -82,20 +82,20 @@ def test_make_test_set_fixed_by_master_seed():
 
 def test_fit_zero_epochs_keeps_weights():
     rng = np.random.default_rng(40)
-    layers = build_model("mlgp", rng)
-    before = copy_layers(layers)
+    model = build_model("mlgp", rng)
+    before = model.theta.copy()
     data = make_dataset("main", 32, seed=41)
-    losses = fit(layers, data.points, data.labels, 0)
+    losses = fit(model, data.points, data.labels, 0)
     assert losses.shape == (0,)
-    assert np.array_equal(layers[0].w, before[0].w)
+    assert np.array_equal(model.theta, before)
 
 
 def test_fit_reduces_loss():
     rng = np.random.default_rng(42)
     data = make_dataset("main", 64, seed=43)
     for kind in ("mlp", "mlhp", "mlgp"):
-        layers = build_model(kind, rng)
-        losses = fit(layers, data.points, data.labels, 300)
+        model = build_model(kind, rng)
+        losses = fit(model, data.points, data.labels, 300)
         assert losses[-1] < losses[0]
 
 
@@ -134,8 +134,7 @@ def test_run_protocol_structure_and_stats():
         top = by_stat[(model, "top_k")]
         assert top.mean == pytest.approx(best.test_accuracy * 100.0, abs=1e-12)
         assert top.std == 0.0
-    chain = result.best_chain("mlgp")
-    assert chain[0].kind == "geometric"
+    assert result.best_chain("mlgp").kind == "mlgp"
 
 
 def test_single_run_std_is_zero():
@@ -186,16 +185,16 @@ def test_records_loader_validates_header(tmp_path):
 
 def make_small_trained_mlgp(seed=50, epochs=300):
     rng = np.random.default_rng(seed)
-    layers = build_model("mlgp", rng)
+    model = build_model("mlgp", rng)
     data = make_dataset("main", 128, seed=seed + 1)
-    fit(layers, data.points, data.labels, epochs)
-    return layers
+    fit(model, data.points, data.labels, epochs)
+    return model
 
 
 def test_isometry_test_equality_holds():
-    layers = make_small_trained_mlgp()
+    model = make_small_trained_mlgp()
     test_set = make_dataset("main", 256, seed=51)
-    report = isometry_test(layers, test_set, trials=20, seed=52)
+    report = isometry_test(model, test_set, trials=20, seed=52)
     assert report.trials == 20
     assert set(report.accuracies) == set(COMBO_NAMES)
     assert report.max_logit_deviation <= 1e-9
@@ -216,9 +215,9 @@ def test_isometry_test_validation():
 
 def test_export_spheres_counts_and_file(tmp_path):
     rng = np.random.default_rng(60)
-    layers = build_model("mlgp", rng)
+    model = build_model("mlgp", rng)
     path = tmp_path / "spheres.json"
-    report = export_spheres(layers, path)
+    report = export_spheres(model, path)
     assert report["format"] == "mlgp-spheres-v1"
     assert len(report["units"]) == 4
     entries = [s for u in report["units"] for s in u["spheres"]]
@@ -231,14 +230,14 @@ def test_export_spheres_counts_and_file(tmp_path):
 
 
 def test_export_spheres_recovers_planted_geometry():
-    layers = build_model("mlgp")
+    model = build_model("mlgp")
     gammas = [2.0, -0.5, 1.0, 3.0]
     centers = [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -1.0], [1.0, 1.0, 1.0]]
     radii = [1.0, 0.5, 2.0, 1.5]
-    layers[0].w[0] = np.concatenate(
+    model.layers[0].w[0] = np.concatenate(
         [g * sphere_from_center_radius(c, r) for g, c, r in zip(gammas, centers, radii)]
     )
-    report = export_spheres(layers)
+    report = export_spheres(model)
     for entry, g, c, r in zip(report["units"][0]["spheres"], gammas, centers, radii):
         assert entry["gamma"] == pytest.approx(g, abs=1e-12)
         assert entry["center"] == pytest.approx(c, abs=1e-12)
@@ -250,12 +249,12 @@ def test_export_spheres_recovers_planted_geometry():
 
 
 def test_export_spheres_flags_imaginary_and_degenerate():
-    layers = build_model("mlgp")
+    model = build_model("mlgp")
     # block 0: negative squared radius (last slot forced large)
-    layers[0].w[0, 0:5] = [0.0, 0.0, 0.0, 0.5, 1.0]
+    model.layers[0].w[0, 0:5] = [0.0, 0.0, 0.0, 0.5, 1.0]
     # block 1: zero scale factor
-    layers[0].w[0, 5:10] = [1.0, 0.0, 0.0, 0.5, 0.0]
-    report = export_spheres(layers)
+    model.layers[0].w[0, 5:10] = [1.0, 0.0, 0.0, 0.5, 0.0]
+    report = export_spheres(model)
     spheres = report["units"][0]["spheres"]
     assert spheres[0]["radius_sq"] == -1.0
     assert spheres[0]["imaginary_radius"]

@@ -10,14 +10,13 @@ from mlgp.models import (
     MODEL_KINDS,
     accuracy,
     build_model,
-    copy_layers,
     load_checkpoint,
     param_count,
     predict,
     save_checkpoint,
     transform_mlgp_weights,
 )
-from mlgp.nn import Layer, forward
+from mlgp.nn import forward
 
 
 def random_motion(rng, t_range=3.0):
@@ -37,14 +36,18 @@ def test_parameter_counts_match_reference():
 
 def test_build_model_structure():
     mlp = build_model("mlp")
-    assert [l.kind for l in mlp] == ["dense", "dense"]
-    assert mlp[0].activation == "relu"
+    assert mlp.kind == "mlp"
+    assert [l.kind for l in mlp.layers] == ["dense", "dense"]
+    assert mlp.layers[0].activation == "relu"
     mlhp = build_model("mlhp")
-    assert [l.kind for l in mlhp] == ["hypersphere", "hypersphere"]
-    assert all(l.b is None for l in mlhp)
+    assert [l.kind for l in mlhp.layers] == ["hypersphere", "hypersphere"]
+    assert all(l.b is None for l in mlhp.layers)
     mlgp = build_model("mlgp")
-    assert [l.kind for l in mlgp] == ["geometric", "hypersphere"]
-    assert [l.activation for l in mlgp] == ["identity", "identity"]
+    assert [l.kind for l in mlgp.layers] == ["geometric", "hypersphere"]
+    assert [l.activation for l in mlgp.layers] == ["identity", "identity"]
+    for model in (mlp, mlhp, mlgp):
+        assert model.theta.dtype == np.float64
+        assert all(np.shares_memory(l.w, model.theta) for l in model.layers)
     with pytest.raises(ValueError):
         build_model("nope")
 
@@ -61,30 +64,32 @@ def test_predict_untrained_uniform():
 
 def test_accuracy():
     rng = np.random.default_rng(1)
-    layers = build_model("mlgp", rng)
+    model = build_model("mlgp", rng)
     pts = rng.uniform(-3, 3, (16, 4, 3))
-    labels, _ = predict(layers, pts)
-    assert accuracy(layers, pts, labels) == 1.0
+    labels, _ = predict(model, pts)
+    assert accuracy(model, pts, labels) == 1.0
     wrong = (labels + 1) % 8
-    assert accuracy(layers, pts, wrong) == 0.0
+    assert accuracy(model, pts, wrong) == 0.0
 
 
-def test_copy_layers_is_independent():
+def test_model_copy_is_independent():
     rng = np.random.default_rng(2)
-    layers = build_model("mlp", rng)
-    dup = copy_layers(layers)
-    dup[0].w[0, 0] += 1.0
-    dup[0].b[0] += 1.0
-    assert layers[0].w[0, 0] != dup[0].w[0, 0]
-    assert layers[0].b[0] != dup[0].b[0]
+    model = build_model("mlp", rng)
+    dup = model.copy()
+    assert dup.kind == "mlp"
+    assert np.array_equal(dup.theta, model.theta)
+    dup.layers[0].w[0, 0] += 1.0
+    dup.layers[0].b[0] += 1.0
+    assert model.layers[0].w[0, 0] != dup.layers[0].w[0, 0]
+    assert model.layers[0].b[0] != dup.layers[0].b[0]
 
 
 def test_transform_identity_motion_is_noop():
     rng = np.random.default_rng(3)
-    layers = build_model("mlgp", rng)
-    moved = transform_mlgp_weights(layers, RigidMotion.identity())
-    assert np.array_equal(moved[0].w, layers[0].w)
-    assert np.array_equal(moved[1].w, layers[1].w)
+    model = build_model("mlgp", rng)
+    moved = transform_mlgp_weights(model, RigidMotion.identity())
+    assert np.array_equal(moved.theta, model.theta)
+    assert not np.shares_memory(moved.theta, model.theta)
 
 
 def test_transform_requires_geometric_first_layer():
@@ -100,48 +105,48 @@ def test_transform_gives_exact_activation_isometry():
     # moved model on moved inputs = original model on original inputs
     rng = np.random.default_rng(5)
     for _ in range(50):
-        layers = build_model("mlgp", rng)
+        model = build_model("mlgp", rng)
         motion = random_motion(rng)
-        moved = transform_mlgp_weights(layers, motion)
+        moved = transform_mlgp_weights(model, motion)
         pts = rng.uniform(-3, 3, (8, 4, 3))
-        base, _ = forward(layers, pts)
+        base, _ = forward(model, pts)
         got, _ = forward(moved, motion.apply(pts))
         assert np.max(np.abs(got - base)) <= 1e-9
+        # later layers are copied untouched
+        assert np.array_equal(moved.layers[1].w, model.layers[1].w)
 
 
 def test_transform_isometry_survives_nonlinear_activation():
-    # pre-activations match exactly, so any activation keeps the property
+    # the first layer's pre-activations match, so any activation applied
+    # to them (a ReLU, say) would keep the property
     rng = np.random.default_rng(6)
-    layers = [
-        Layer("geometric", 20, 4, "relu", rng),
-        Layer("hypersphere", 6, 8, "identity", rng),
-    ]
+    model = build_model("mlgp", rng)
     motion = random_motion(rng)
-    moved = transform_mlgp_weights(layers, motion)
+    moved = transform_mlgp_weights(model, motion)
     pts = rng.uniform(-3, 3, (8, 4, 3))
-    base, _ = forward(layers, pts)
-    got, _ = forward(moved, motion.apply(pts))
-    assert np.max(np.abs(got - base)) <= 1e-9
+    _, base = forward(model, pts)
+    _, got = forward(moved, motion.apply(pts))
+    assert np.max(np.abs(got[0].pre_act - base[0].pre_act)) <= 1e-9
 
 
 def test_transform_inverse_restores_weights():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        layers = build_model("mlgp", rng)
+        model = build_model("mlgp", rng)
         motion = random_motion(rng)
         back = transform_mlgp_weights(
-            transform_mlgp_weights(layers, motion), motion.inverse()
+            transform_mlgp_weights(model, motion), motion.inverse()
         )
-        assert np.max(np.abs(back[0].w - layers[0].w)) <= 1e-12
+        assert np.max(np.abs(back.theta - model.theta)) <= 1e-12
 
 
 def test_transform_predictions_are_stable():
     rng = np.random.default_rng(8)
-    layers = build_model("mlgp", rng)
+    model = build_model("mlgp", rng)
     motion = random_motion(rng)
-    moved = transform_mlgp_weights(layers, motion)
+    moved = transform_mlgp_weights(model, motion)
     pts = rng.uniform(-3, 3, (32, 4, 3))
-    base_labels, _ = predict(layers, pts)
+    base_labels, _ = predict(model, pts)
     moved_labels, _ = predict(moved, motion.apply(pts))
     assert np.array_equal(base_labels, moved_labels)
 
@@ -149,16 +154,14 @@ def test_transform_predictions_are_stable():
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(9)
     for kind in MODEL_KINDS:
-        layers = build_model(kind, rng)
+        model = build_model(kind, rng)
         path = tmp_path / f"{kind}.json"
-        save_checkpoint(path, kind, layers, adam_step=123)
-        got_kind, got_layers, got_step = load_checkpoint(path)
-        assert got_kind == kind
+        save_checkpoint(path, kind, model, adam_step=123)
+        got_kind, got, got_step = load_checkpoint(path)
+        assert got_kind == kind == got.kind
         assert got_step == 123
-        assert len(got_layers) == len(layers)
-        for a, b in zip(got_layers, layers):
-            assert a.kind == b.kind
-            assert a.activation == b.activation
+        assert np.array_equal(got.theta, model.theta)
+        for a, b in zip(got.layers, model.layers):
             assert np.array_equal(a.w, b.w)
             if b.b is None:
                 assert a.b is None
@@ -167,13 +170,13 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 
 def test_checkpoint_preserves_tricky_floats(tmp_path):
-    layers = build_model("mlgp")
-    layers[0].w[0, :6] = [0.0, -0.0, 1e-308, 1.7976931348623157e308, 0.1, -1e-17]
+    model = build_model("mlgp")
+    model.layers[0].w[0, :6] = [0.0, -0.0, 1e-308, 1.7976931348623157e308, 0.1, -1e-17]
     path = tmp_path / "tricky.json"
-    save_checkpoint(path, "mlgp", layers)
+    save_checkpoint(path, "mlgp", model)
     _, got, _ = load_checkpoint(path)
-    a = got[0].w[0, :6]
-    b = layers[0].w[0, :6]
+    a = got.layers[0].w[0, :6]
+    b = model.layers[0].w[0, :6]
     # compare the underlying bit patterns, not just the values
     assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
     assert np.signbit(a[1])
@@ -184,9 +187,9 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     path.write_text('{"format": "other"}\n')
     with pytest.raises(ValueError):
         load_checkpoint(path)
-    layers = build_model("mlp")
+    model = build_model("mlp")
     with pytest.raises(ValueError):
-        save_checkpoint(tmp_path / "x.json", "nope", layers)
+        save_checkpoint(tmp_path / "x.json", "nope", model)
 
 
 def _rewrite_checkpoint(path, edit):
@@ -214,16 +217,42 @@ def test_checkpoint_rejects_non_finite_weight(tmp_path):
     with pytest.raises(ValueError, match="finite"):
         load_checkpoint(path)
     # and a non-finite weight never gets written in the first place
-    layers = build_model("mlgp")
-    layers[0].w[0, 0] = np.inf
+    model = build_model("mlgp")
+    model.layers[0].w[0, 0] = np.inf
     with pytest.raises(ValueError):
-        save_checkpoint(tmp_path / "inf.json", "mlgp", layers)
+        save_checkpoint(tmp_path / "inf.json", "mlgp", model)
 
 
 def test_checkpoint_rejects_unchained_widths(tmp_path):
     # a 20 -> 4 geometric layer feeding a hypersphere layer that takes 5 inputs
     path = tmp_path / "ckpt.json"
-    layers = [Layer("geometric", 20, 4), Layer("hypersphere", 7, 8)]
-    save_checkpoint(path, "mlgp", layers)
-    with pytest.raises(ValueError, match="chain"):
+    save_checkpoint(path, "mlgp", build_model("mlgp"))
+
+    def widen(doc):
+        doc["layers"][1]["in_dim"] = 7
+        doc["layers"][1]["weights"] = [[0.0] * 7] * 8
+
+    _rewrite_checkpoint(path, widen)
+    with pytest.raises(ValueError, match="architecture"):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_layers_of_another_architecture(tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, "mlhp", build_model("mlhp"))
+    _rewrite_checkpoint(path, lambda doc: doc.update(model="mlgp"))
+    with pytest.raises(ValueError, match="architecture"):
+        load_checkpoint(path)
+    # a bias on a layer that has none
+    save_checkpoint(path, "mlgp", build_model("mlgp"))
+    _rewrite_checkpoint(path, lambda doc: doc["layers"][0].update(bias=0.0))
+    with pytest.raises(ValueError, match="bias"):
+        load_checkpoint(path)
+
+
+def test_save_checkpoint_rejects_another_kind(tmp_path):
+    # an mlgp model saved as "mlhp" would reload as an mlhp model
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(ValueError, match="mlgp"):
+        save_checkpoint(path, "mlhp", build_model("mlgp"))
+    assert not path.exists()

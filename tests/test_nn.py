@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from mlgp.conformal import embed_point, point_normalize, sphere_from_center_radius
-from mlgp.models import build_model
+from mlgp.models import Model, build_model
 from mlgp.nn import (
+    ACTIVATIONS,
     Adam,
-    Layer,
     activation_derivative,
     apply_activation,
     backward,
@@ -47,22 +47,26 @@ def test_embed_pointwise_batch_and_validation():
 
 def test_layer_construction():
     rng = np.random.default_rng(2)
-    layer = Layer("dense", 12, 6, "relu", rng)
+    model = build_model("mlp", rng)
+    layer = model.layers[0]
     bound = 1.0 / np.sqrt(12)
     assert np.all(np.abs(layer.w) <= bound)
     assert np.all(np.abs(layer.b) <= bound)
-    assert layer.param_count == 12 * 6 + 6
+    assert layer.w.shape == (6, 12) and layer.b.shape == (6,)
+    # theta is the layers' weights and biases laid end to end, as views
+    second = model.layers[1]
+    assert np.array_equal(
+        model.theta, np.concatenate([layer.w.ravel(), layer.b, second.w.ravel(), second.b])
+    )
+    model.theta[12 * 6] = 7.0
+    assert layer.b[0] == 7.0
+    second.w[0, 0] = -7.0
+    assert model.theta[12 * 6 + 6] == -7.0
     # no rng -> zero parameters
-    zero = Layer("geometric", 20, 4)
+    zero = build_model("mlgp").layers[0]
     assert not zero.w.any() and zero.b is None
     assert zero.pre_embed_dim == 12
-    assert Layer("hypersphere", 14, 5).pre_embed_dim == 12
-    with pytest.raises(ValueError):
-        Layer("nope", 4, 4)
-    with pytest.raises(ValueError):
-        Layer("dense", 4, 4, activation="nope")
-    with pytest.raises(ValueError):
-        Layer("geometric", 12, 4)
+    assert build_model("mlhp").layers[0].pre_embed_dim == 12
 
 
 def test_geometric_neuron_decomposes_into_spheres():
@@ -91,87 +95,86 @@ def test_geometric_unit_from_planted_spheres():
             [g * sphere_from_center_radius(c, r) for g, c, r in zip(gammas, centers, radii)]
         )
         pts = rng.uniform(-3, 3, (4, 3))
-        layer = Layer("geometric", 20, 1)
-        layer.w[0] = w
-        out, _ = forward([layer], pts)
+        model = build_model("mlgp")
+        model.layers[0].w[0] = w
+        _, trace = forward(model, pts)
         want = sum(
             g * (-0.5 * np.sum((p - c) ** 2) + 0.5 * r * r)
             for g, c, r, p in zip(gammas, centers, radii, pts)
         )
-        assert abs(float(out[0]) - want) <= 1e-12 * (1.0 + abs(want))
+        got = float(trace[0].pre_act[0, 0])
+        assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
 
 def test_forward_zero_weights_and_shapes():
-    layers = build_model("mlgp")
+    model = build_model("mlgp")
     pts = np.random.default_rng(5).uniform(-3, 3, (4, 3))
-    logits, trace = forward(layers, pts)
+    logits, trace = forward(model, pts)
     assert np.array_equal(logits, np.zeros(8))
     assert len(trace) == 2
     assert trace[0].embedded.shape == (1, 20)
     with pytest.raises(ValueError):
-        forward(layers, np.zeros((5, 3)))
+        forward(model, np.zeros((5, 3)))
 
 
 def test_forward_matches_direct_matrix_evaluation():
     # identity-activation chain is linear in the lifted features
     rng = np.random.default_rng(6)
-    layers = build_model("mlgp", rng)
+    model = build_model("mlgp", rng)
     pts = rng.uniform(-3, 3, (4, 3))
-    logits, _ = forward(layers, pts)
-    h = layers[0].w @ embed_pointwise(pts)
-    want = layers[1].w @ embed_point(h)
+    logits, _ = forward(model, pts)
+    first, second = model.layers
+    h = first.w @ embed_pointwise(pts)
+    want = second.w @ embed_point(h)
     assert np.allclose(logits, want, atol=1e-12)
 
 
 def test_forward_batch_matches_single():
     rng = np.random.default_rng(7)
     for kind in ("mlp", "mlhp", "mlgp"):
-        layers = build_model(kind, rng)
+        model = build_model(kind, rng)
         batch = rng.uniform(-3, 3, (5, 4, 3))
-        logits, _ = forward(layers, batch)
+        logits, _ = forward(model, batch)
         for i in range(5):
-            single, _ = forward(layers, batch[i])
+            single, _ = forward(model, batch[i])
             assert np.allclose(logits[i], single, atol=1e-12)
 
 
 def test_forward_with_precomputed_embedding():
     rng = np.random.default_rng(8)
-    layers = build_model("mlgp", rng)
+    model = build_model("mlgp", rng)
     batch = rng.uniform(-3, 3, (5, 4, 3))
-    first = embed_input(layers[0], batch)
-    a, _ = forward(layers, batch)
-    b, _ = forward(layers, batch, first_embedded=first)
+    first = embed_input(model.layers[0], batch)
+    a, _ = forward(model, batch)
+    b, _ = forward(model, batch, first_embedded=first)
     assert np.array_equal(a, b)
 
 
 def test_dense_forward_matches_manual():
     rng = np.random.default_rng(9)
-    layers = build_model("mlp", rng)
+    model = build_model("mlp", rng)
+    first, second = model.layers
     pts = rng.uniform(-3, 3, (4, 3))
     x = pts.reshape(-1)
-    h = np.maximum(layers[0].w @ x + layers[0].b, 0.0)
-    want = layers[1].w @ h + layers[1].b
-    logits, _ = forward(layers, pts)
+    h = np.maximum(first.w @ x + first.b, 0.0)
+    want = second.w @ h + second.b
+    logits, _ = forward(model, pts)
     assert np.allclose(logits, want, atol=1e-12)
 
 
 def test_activations():
+    assert ACTIVATIONS == ("identity", "relu")
     z = np.linspace(-2, 2, 9)
     assert np.array_equal(apply_activation("identity", z), z)
-    assert np.allclose(apply_activation("tanh", z), np.tanh(z))
+    assert np.array_equal(activation_derivative("identity", z), np.ones(9))
     assert np.array_equal(apply_activation("relu", z), np.maximum(z, 0))
+    assert np.array_equal(activation_derivative("relu", z), (z > 0).astype(float))
     # relu subgradient at exactly 0 is 0
-    out = apply_activation("relu", np.zeros(3))
-    assert np.array_equal(activation_derivative("relu", np.zeros(3), out), np.zeros(3))
-    # smooth derivatives agree with finite differences
-    h = 1e-6
-    for name in ("sigmoid", "tanh"):
-        out = apply_activation(name, z)
-        got = activation_derivative(name, z, out)
-        num = (apply_activation(name, z + h) - apply_activation(name, z - h)) / (2 * h)
-        assert np.allclose(got, num, atol=1e-9)
+    assert np.array_equal(activation_derivative("relu", np.zeros(3)), np.zeros(3))
     with pytest.raises(ValueError):
         apply_activation("nope", z)
+    with pytest.raises(ValueError):
+        activation_derivative("nope", z)
 
 
 def test_softmax_is_probability_vector():
@@ -212,36 +215,32 @@ def test_cross_entropy_batch_matches_singles():
 
 def finite_difference_check(kind, seed, batch=4, h=1e-6, tol=1e-5):
     rng = np.random.default_rng(seed)
-    layers = build_model(kind, rng)
+    model = build_model(kind, rng)
     pts = rng.uniform(-3, 3, (batch, 4, 3))
     labels = rng.integers(0, 8, batch)
 
     def loss_of():
-        logits, _ = forward(layers, pts)
+        logits, _ = forward(model, pts)
         return softmax_cross_entropy(logits, labels)[0]
 
-    logits, trace = forward(layers, pts)
+    logits, trace = forward(model, pts)
     _, dlogits = softmax_cross_entropy(logits, labels)
-    grads = backward(layers, trace, dlogits)
+    grad = backward(model, trace, dlogits)
+    assert grad.shape == model.theta.shape
+    theta = model.theta
     worst = 0.0
-    for layer, (dw, db) in zip(layers, grads):
-        for arr, grad in ((layer.w, dw), (layer.b, db)):
-            if arr is None:
-                continue
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                old = arr[idx]
-                arr[idx] = old + h
-                up = loss_of()
-                arr[idx] = old - h
-                down = loss_of()
-                arr[idx] = old
-                num = (up - down) / (2 * h)
-                ana = grad[idx]
-                scale = max(abs(num), abs(ana))
-                if scale > 1e-8:
-                    worst = max(worst, abs(num - ana) / scale)
+    for idx in range(theta.size):
+        old = theta[idx]
+        theta[idx] = old + h
+        up = loss_of()
+        theta[idx] = old - h
+        down = loss_of()
+        theta[idx] = old
+        num = (up - down) / (2 * h)
+        ana = grad[idx]
+        scale = max(abs(num), abs(ana))
+        if scale > 1e-8:
+            worst = max(worst, abs(num - ana) / scale)
     assert worst < tol, f"{kind}: relative error {worst}"
 
 
@@ -259,13 +258,12 @@ def test_gradients_match_finite_differences_mlgp():
 
 def test_backward_zero_upstream():
     rng = np.random.default_rng(15)
-    layers = build_model("mlgp", rng)
+    model = build_model("mlgp", rng)
     pts = rng.uniform(-3, 3, (3, 4, 3))
-    _, trace = forward(layers, pts)
-    grads = backward(layers, trace, np.zeros((3, 8)))
-    for dw, db in grads:
-        assert not dw.any()
-        assert db is None or not db.any()
+    _, trace = forward(model, pts)
+    grad = backward(model, trace, np.zeros((3, 8)))
+    assert grad.shape == model.theta.shape
+    assert not grad.any()
 
 
 def test_dense_backward_matches_textbook_formulas():
@@ -273,50 +271,46 @@ def test_dense_backward_matches_textbook_formulas():
     #   h = relu(W1 x + b1), y = W2 h + b2
     #   dW2 = d y . h^T, dh = W2^T dy, dz1 = dh * [z1 > 0], dW1 = dz1 x^T
     rng = np.random.default_rng(16)
-    layers = build_model("mlp", rng)
+    model = build_model("mlp", rng)
+    first, second = model.layers
     pts = rng.uniform(-3, 3, (4, 3))
     x = pts.reshape(-1)
-    logits, trace = forward(layers, pts)
+    logits, trace = forward(model, pts)
     _, dy = softmax_cross_entropy(logits, 5)
-    grads = backward(layers, trace, dy)
+    # read the gradient vector through the same layer views as theta
+    grads = Model("mlp", backward(model, trace, dy)).layers
 
-    z1 = layers[0].w @ x + layers[0].b
+    z1 = first.w @ x + first.b
     h = np.maximum(z1, 0.0)
     dw2 = np.outer(dy, h)
     db2 = dy
-    dh = layers[1].w.T @ dy
+    dh = second.w.T @ dy
     dz1 = dh * (z1 > 0)
     dw1 = np.outer(dz1, x)
     db1 = dz1
-    assert np.allclose(grads[1][0], dw2, atol=1e-12)
-    assert np.allclose(grads[1][1], db2, atol=1e-12)
-    assert np.allclose(grads[0][0], dw1, atol=1e-12)
-    assert np.allclose(grads[0][1], db1, atol=1e-12)
+    assert np.allclose(grads[1].w, dw2, atol=1e-12)
+    assert np.allclose(grads[1].b, db2, atol=1e-12)
+    assert np.allclose(grads[0].w, dw1, atol=1e-12)
+    assert np.allclose(grads[0].b, db1, atol=1e-12)
 
 
 def test_adam_zero_gradient_is_a_fixed_point():
     rng = np.random.default_rng(17)
-    layers = build_model("mlp", rng)
-    before = [(l.w.copy(), l.b.copy()) for l in layers]
-    opt = Adam(layers)
-    zero = [(np.zeros_like(l.w), np.zeros_like(l.b)) for l in layers]
+    theta = rng.uniform(-1, 1, 134)
+    before = theta.copy()
+    opt = Adam(theta)
     for _ in range(5):
-        opt.step(layers, zero)
-    for layer, (w, b) in zip(layers, before):
-        assert np.array_equal(layer.w, w)
-        assert np.array_equal(layer.b, b)
+        opt.step(np.zeros_like(theta))
+    assert np.array_equal(theta, before)
 
 
 def test_adam_first_step_is_signed_learning_rate():
     # after bias correction, step 1 moves each weight by ~lr * sign(g)
-    layer = Layer("dense", 2, 1)
-    layer.w[:] = 1.0
-    layer.b[:] = 1.0
-    opt = Adam([layer], lr=0.01)
-    g = np.array([[0.3, -2.0]])
-    opt.step([layer], [(g, np.array([0.5]))])
-    assert np.allclose(layer.w, 1.0 - 0.01 * np.sign(g), atol=1e-6)
-    assert np.allclose(layer.b, 1.0 - 0.01, atol=1e-6)
+    theta = np.ones(3)
+    opt = Adam(theta, lr=0.01)
+    g = np.array([0.3, -2.0, 0.5])
+    opt.step(g)
+    assert np.allclose(theta, 1.0 - 0.01 * np.sign(g), atol=1e-6)
     assert opt.t == 1
 
 
@@ -336,10 +330,8 @@ def test_adam_matches_scalar_reference_trace():
         b -= lr * (mb / (1 - b1**t)) / (np.sqrt(vb / (1 - b2**t)) + eps)
         ref.append((a, b))
 
-    layer = Layer("dense", 1, 2)
-    layer.w[:, 0] = [1.0, -1.0]
-    opt = Adam([layer], lr=lr, beta1=b1, beta2=b2, eps=eps)
+    theta = np.array([1.0, -1.0])
+    opt = Adam(theta, lr=lr, beta1=b1, beta2=b2, eps=eps)
     for t in range(10):
-        g = np.array([[layer.w[0, 0]], [4.0 * layer.w[1, 0]]])
-        opt.step([layer], [(g, np.zeros(2))])
-        assert np.allclose(layer.w[:, 0], ref[t], atol=1e-12)
+        opt.step(np.array([theta[0], 4.0 * theta[1]]))
+        assert np.allclose(theta, ref[t], atol=1e-12)

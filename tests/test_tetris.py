@@ -219,3 +219,13 @@ def test_load_dataset_rejects_non_finite(tmp_path):
         path.write_text(DATASET_HEADER + "\n1," + ",".join(["0"] * 11 + [bad]) + "\n")
         with pytest.raises(ValueError, match="non-finite"):
             load_dataset(path)
+
+
+def test_save_dataset_rejects_non_finite(tmp_path):
+    data = make_dataset(MAIN, 8, seed=37)
+    for bad in (np.nan, np.inf):
+        data.points[3, 2, 1] = bad
+        path = tmp_path / f"{bad}.csv"
+        with pytest.raises(ValueError, match="non-finite"):
+            save_dataset(data, path)
+        assert not path.exists()
