@@ -10,6 +10,7 @@ negative outside.
 :func:`lift` lifts each ``group``-wide block of a vector on its own: every
 3D point of a flattened shape for ``group=3``, a whole n-vector for
 ``group=n``, nothing for ``group=0``.  :func:`lift_grad` is its adjoint.
+Both act on the first axis, so a batch is laid out as (features, batch).
 
 Learned sphere vectors are generally scaled by an arbitrary nonzero factor;
 dividing by the last component (``point_normalize``) recovers the canonical
@@ -49,26 +50,27 @@ def _as_finite_vector(x, name):
 
 
 def lift(x, group):
-    """Lift every ``group``-wide block g of the last axis to (g, -1, -||g||^2/2)."""
+    """Lift every ``group``-wide block g of axis 0 to (g, -1, -||g||^2/2)."""
     x = np.asarray(x, dtype=float)
     if group == 0:
         return x
-    lead = x.shape[:-1]
-    g = x.reshape(lead + (-1, group))
-    out = np.empty(g.shape[:-1] + (group + 2,))
-    out[..., :group] = g
-    out[..., group] = -1.0
-    out[..., group + 1] = -0.5 * (g * g).sum(axis=-1)
-    return out.reshape(lead + (-1,))
+    rest = x.shape[1:]
+    g = x.reshape((-1, group) + rest)
+    out = np.empty((len(g), group + 2) + rest)
+    out[:, :group] = g
+    out[:, group] = -1.0
+    g = out[:, :group]  # contiguous rows even when x is a transposed view
+    out[:, group + 1] = -0.5 * (g * g).sum(axis=1)
+    return out.reshape((-1,) + rest)
 
 
 def lift_grad(d_lifted, x, group):
     """Pull a gradient on ``lift(x, group)`` back to a gradient on ``x``."""
     if group == 0:
         return d_lifted
-    d = d_lifted.reshape(x.shape[:-1] + (-1, group + 2))
-    g = x.reshape(x.shape[:-1] + (-1, group))
-    return (d[..., :group] - d[..., group + 1 :] * g).reshape(x.shape)
+    d = d_lifted.reshape((-1, group + 2) + x.shape[1:])
+    g = x.reshape((-1, group) + x.shape[1:])
+    return (d[:, :group] - d[:, group + 1 :] * g).reshape(x.shape)
 
 
 def embed_point(x):

@@ -46,7 +46,7 @@ class Model:
 
     ``theta`` holds, per layer of ``ARCHITECTURES[kind]``, the row-major
     weights, then a dense layer's bias; ``layers`` view it.  It starts at
-    zero unless given.
+    zero unless given as a float64 vector of the architecture's size.
     """
 
     def __init__(self, kind, theta=None):
@@ -54,9 +54,11 @@ class Model:
             raise ValueError(f"unknown model kind {kind!r}")
         specs = ARCHITECTURES[kind]
         sizes = [out_dim * (in_dim + (lk == DENSE)) for lk, in_dim, out_dim, _ in specs]
-        starts = [0, *accumulate(sizes)]
+        starts = (0, *accumulate(sizes))
         self.kind = kind
-        self.theta = np.zeros(starts[-1]) if theta is None else theta
+        self.theta = theta = np.zeros(starts[-1]) if theta is None else theta
+        if not (isinstance(theta, np.ndarray) and theta.dtype == float and theta.shape == starts[-1:]):
+            raise ValueError(f"{kind} theta must be a float64 vector of size {starts[-1]}")
         spans = zip(specs, starts, starts[1:])
         self.layers = [Layer(*spec, self.theta[a:b]) for spec, a, b in spans]
 

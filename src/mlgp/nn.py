@@ -10,6 +10,11 @@ point becomes a 5-dim block), and ``hypersphere`` has the input width m
 (the whole input becomes one (m+2)-dim point).  The lift is parameter-free
 but nonlinear, so the backward pass routes gradients through its adjoint,
 ``lift_grad``.  Everything is float64 and vectorized over a batch axis.
+
+Inside :func:`forward`, :func:`backward` and the loss, arrays are laid out as
+(features, batch): a layer computes ``W @ lift(x)``, the classes are summed
+over axis 0, and ``dW = dz @ embedded.T``.  The boundary stays batch-major:
+(batch, 4, 3) points, (batch, 8) logits and gradients as free ``.T`` views.
 """
 
 import numpy as np
@@ -20,8 +25,6 @@ from .conformal import lift, lift_grad
 DENSE = "dense"
 GEOMETRIC = "geometric"
 HYPERSPHERE = "hypersphere"
-
-ACTIVATIONS = ("identity", "relu")
 
 
 def apply_activation(name, z):
@@ -51,7 +54,7 @@ def embed_pointwise(points):
     pts = np.asarray(points, dtype=float)
     if pts.ndim not in (2, 3) or pts.shape[-1] != 3:
         raise ValueError(f"expected (..., k, 3) points, got shape {pts.shape}")
-    return lift(pts.reshape(pts.shape[:-2] + (-1,)), 3)
+    return lift(pts.reshape(pts.shape[:-2] + (-1,)).T, 3).T
 
 
 class Layer:
@@ -86,70 +89,64 @@ class Layer:
 
 @dataclass
 class LayerTrace:
-    """Per-layer forward record: everything backward needs."""
+    """Per-layer forward record: everything backward needs, feature-major."""
 
-    pre_embed: np.ndarray  # raw input (batch, m); None when precomputed
-    embedded: np.ndarray   # features the weights multiplied (batch, in_dim)
-    pre_act: np.ndarray    # (batch, out_dim)
+    pre_embed: np.ndarray  # raw input (m, batch); None when precomputed
+    embedded: np.ndarray   # features the weights multiplied (in_dim, batch)
+    pre_act: np.ndarray    # (out_dim, batch)
 
 
-def _embed_for_layer(layer, x):
-    if x.shape[1] != layer.pre_embed_dim:
-        raise ValueError(
-            f"{layer.kind} layer expects {layer.pre_embed_dim} inputs, "
-            f"got {x.shape[1]}"
-        )
-    return lift(x, layer.group)
+def _features(points, layer):
+    """(m, batch) view of (batch, ...) or one sample's input to ``layer``."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 2:
+        pts = pts[None]
+    x = pts.reshape(len(pts), -1).T
+    if len(x) != layer.pre_embed_dim:
+        raise ValueError(f"{layer.kind} layer expects {layer.pre_embed_dim} inputs, got {len(x)}")
+    return x
 
 
 def embed_input(layer, points):
-    """First-layer feature lift of raw (4, 3)-style inputs.
+    """First-layer feature lift of raw (4, 3)-style inputs, (batch, in_dim).
 
     Parameter-free, so training loops may compute it once per dataset and
     pass it to :func:`forward` as ``first_embedded``.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 2:
-        pts = pts[None]
-    return _embed_for_layer(layer, pts.reshape(len(pts), -1))
+    return lift(_features(points, layer), layer.group).T
 
 
 def forward(model, points, first_embedded=None):
     """Run a model on one sample (4, 3) or a batch (batch, 4, 3).
 
-    Returns ``(logits, trace)`` where trace is a list of LayerTrace.  The
-    trace keeps the batch axis even for a single sample.
+    Returns ``(logits, trace)``: (8,) or (batch, 8) logits and a list of
+    LayerTrace, whose arrays are (features, batch) even for a single sample.
     """
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 2
-    if single:
-        pts = pts[None]
-    x = pts.reshape(len(pts), -1)
+    single = np.ndim(points) == 2
+    x = _features(points, model.layers[0])
     trace = []
     for i, layer in enumerate(model.layers):
         if i == 0 and first_embedded is not None:
-            embedded, pre_embed = first_embedded, None
+            embedded, pre_embed = first_embedded.T, None
         else:
-            embedded, pre_embed = _embed_for_layer(layer, x), x
-        pre_act = embedded @ layer.w.T
+            embedded, pre_embed = lift(x, layer.group), x
+        pre_act = layer.w @ embedded
         if layer.b is not None:
-            pre_act = pre_act + layer.b
+            pre_act += layer.b[:, None]
         trace.append(LayerTrace(pre_embed, embedded, pre_act))
         x = apply_activation(layer.activation, pre_act)
-    return (x[0] if single else x), trace
+    return (x[:, 0] if single else x.T), trace
 
 
 def backward(model, trace, d_logits):
     """Exact gradient of the loss with respect to ``model.theta``.
 
-    Returns one vector in ``theta``'s layout: layer by layer, the row-major
-    weight gradient, then a dense layer's bias gradient.  The lift of the
-    raw model input carries no parameters, so no gradient is propagated
-    past the first layer.
+    ``d_logits`` is (8,) or (batch, 8), like the logits.  Returns one vector
+    in ``theta``'s layout: layer by layer, the row-major weight gradient,
+    then a dense layer's bias gradient.  The lift of the raw model input
+    carries no parameters, so no gradient is propagated past the first layer.
     """
-    d = np.asarray(d_logits, dtype=float)
-    if d.ndim == 1:
-        d = d[None]
+    d = _class_major(d_logits)
     parts = []
     for i in range(len(model.layers) - 1, -1, -1):
         layer, t = model.layers[i], trace[i]
@@ -158,18 +155,24 @@ def backward(model, trace, d_logits):
         else:
             dz = d * activation_derivative(layer.activation, t.pre_act)
         if layer.b is not None:
-            parts.append(dz.sum(axis=0))
-        parts.append((dz.T @ t.embedded).ravel())
+            parts.append(dz.sum(axis=1))
+        parts.append((dz @ t.embedded.T).ravel())
         if i > 0:
-            d = lift_grad(dz @ layer.w, t.pre_embed, layer.group)
+            d = lift_grad(layer.w.T @ dz, t.pre_embed, layer.group)
     return np.concatenate(parts[::-1])
 
 
+def _class_major(values):
+    """C-contiguous (8, batch), so class sums add in one order for any layout."""
+    return np.ascontiguousarray(np.atleast_2d(np.asarray(values, dtype=float)).T)
+
+
 def softmax(logits):
-    z = np.asarray(logits, dtype=float)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis of (8,) or (batch, 8) logits."""
+    z = _class_major(logits)
+    p = np.exp(z - z.max(axis=0))
+    p /= p.sum(axis=0)
+    return p[:, 0] if np.ndim(logits) == 1 else p.T
 
 
 def softmax_cross_entropy(logits, labels):
@@ -179,23 +182,16 @@ def softmax_cross_entropy(logits, labels):
     ``softmax - onehot``.  For a batch, returns the mean loss and the
     gradient of that mean (per-sample terms divided by the batch size).
     """
-    z = np.asarray(logits, dtype=float)
-    single = z.ndim == 1
-    if single:
-        z = z[None]
-        labels = np.asarray([labels])
-    else:
-        labels = np.asarray(labels)
-    shifted = z - z.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_norm
-    rows = np.arange(len(z))
-    loss = float(-log_probs[rows, labels].mean())
-    d = np.exp(log_probs)
-    d[rows, labels] -= 1.0
-    if single:
-        return loss, d[0]
-    return loss, d / len(z)
+    z = _class_major(logits)
+    n = z.shape[1]
+    log_probs = z - z.max(axis=0)
+    log_probs -= np.log(np.exp(log_probs).sum(axis=0))
+    picked = np.ravel_multi_index((np.atleast_1d(labels), np.arange(n)), z.shape)
+    loss = float(-log_probs.take(picked).sum() / n)
+    d = np.exp(log_probs, out=log_probs)
+    d.put(picked, d.take(picked) - 1.0)
+    d /= n
+    return loss, (d[:, 0] if np.ndim(logits) == 1 else d.T)
 
 
 class Adam:

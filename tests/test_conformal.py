@@ -42,8 +42,10 @@ def test_lift_examples():
     z = np.array([0.3, -1.2, 2.0, 0.7])
     want = np.concatenate([z, [-1.0, -0.5 * (z @ z)]])
     assert np.allclose(lift(z, 4), want, atol=1e-14)
-    batch = np.arange(6.0).reshape(2, 3)
-    assert lift(batch, 3).shape == (2, 5)
+    # a batch rides along on the trailing axis: (features, batch)
+    batch = np.arange(6.0).reshape(3, 2)
+    assert lift(batch, 3).shape == (5, 2)
+    assert np.array_equal(lift(batch, 3)[:, 1], lift(batch[:, 1], 3))
     # group 3 lifts each point of a flattened shape; group 0 does not lift
     got = lift([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 3)
     assert np.array_equal(got, [0, 0, 0, -1, 0, 1, 0, 0, -1, -0.5])
@@ -54,7 +56,7 @@ def test_lift_grad_is_the_transposed_jacobian():
     # <d, lift(x + h e_j) - lift(x - h e_j)> / 2h must match lift_grad(d, x)_j
     rng = np.random.default_rng(21)
     for group in (0, 3, 12):
-        x = rng.uniform(-3, 3, (2, 12))
+        x = rng.uniform(-3, 3, (12, 2))
         d = rng.standard_normal(lift(x, group).shape)
         got = lift_grad(d, x, group)
         assert got.shape == x.shape

@@ -8,6 +8,7 @@ import pytest
 from mlgp.conformal import RigidMotion, random_rotation
 from mlgp.models import (
     MODEL_KINDS,
+    Model,
     accuracy,
     build_model,
     load_checkpoint,
@@ -82,6 +83,21 @@ def test_model_copy_is_independent():
     dup.layers[0].b[0] += 1.0
     assert model.layers[0].w[0, 0] != dup.layers[0].w[0, 0]
     assert model.layers[0].b[0] != dup.layers[0].b[0]
+
+
+def test_model_rejects_theta_of_wrong_size_or_dtype():
+    theta = np.arange(128.0)
+    assert Model("mlgp", theta).theta is theta  # the layers view it, no copy
+    for bad in (
+        np.zeros(200),                  # too long
+        np.zeros(127),                  # too short
+        np.zeros((2, 64)),              # right size, not a vector
+        np.zeros(128, dtype=np.int64),  # would break Adam's in-place update
+        np.zeros(128, dtype=np.float32),
+        [0.0] * 128,                    # not an array the layers can view
+    ):
+        with pytest.raises(ValueError, match="mlgp theta"):
+            Model("mlgp", bad)
 
 
 def test_transform_identity_motion_is_noop():

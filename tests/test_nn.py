@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from mlgp.conformal import embed_point, point_normalize, sphere_from_center_radius
-from mlgp.models import Model, build_model
+from mlgp.experiment import fit
+from mlgp.models import MODEL_KINDS, Model, build_model
 from mlgp.nn import (
-    ACTIVATIONS,
     Adam,
     activation_derivative,
     apply_activation,
@@ -17,6 +17,7 @@ from mlgp.nn import (
     softmax,
     softmax_cross_entropy,
 )
+from mlgp.tetris import make_dataset
 
 
 def test_embed_pointwise_examples():
@@ -102,7 +103,7 @@ def test_geometric_unit_from_planted_spheres():
             g * (-0.5 * np.sum((p - c) ** 2) + 0.5 * r * r)
             for g, c, r, p in zip(gammas, centers, radii, pts)
         )
-        got = float(trace[0].pre_act[0, 0])
+        got = float(trace[0].pre_act[0, 0])  # (out_dim, batch)
         assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
 
@@ -112,7 +113,10 @@ def test_forward_zero_weights_and_shapes():
     logits, trace = forward(model, pts)
     assert np.array_equal(logits, np.zeros(8))
     assert len(trace) == 2
-    assert trace[0].embedded.shape == (1, 20)
+    # the trace is feature-major: (in_dim, batch) and (out_dim, batch)
+    assert trace[0].embedded.shape == (20, 1)
+    assert trace[0].pre_act.shape == (4, 1)
+    assert trace[1].pre_embed.shape == (4, 1)
     with pytest.raises(ValueError):
         forward(model, np.zeros((5, 3)))
 
@@ -163,7 +167,6 @@ def test_dense_forward_matches_manual():
 
 
 def test_activations():
-    assert ACTIVATIONS == ("identity", "relu")
     z = np.linspace(-2, 2, 9)
     assert np.array_equal(apply_activation("identity", z), z)
     assert np.array_equal(activation_derivative("identity", z), np.ones(9))
@@ -200,6 +203,10 @@ def test_cross_entropy_examples():
     # extreme logits stay finite
     loss, d = softmax_cross_entropy(np.array([1e4, 0, 0, 0, 0, 0, 0, -1e4]), 0)
     assert np.isfinite(loss) and np.all(np.isfinite(d))
+    # a label outside 0..7 is an error, not a wrapped index
+    for bad in ([0, 8], [-1, 0]):
+        with pytest.raises(ValueError):
+            softmax_cross_entropy(np.zeros((2, 8)), bad)
 
 
 def test_cross_entropy_batch_matches_singles():
@@ -335,3 +342,86 @@ def test_adam_matches_scalar_reference_trace():
     for t in range(10):
         opt.step(np.array([theta[0], 4.0 * theta[1]]))
         assert np.allclose(theta, ref[t], atol=1e-12)
+
+
+def reference_lift(x, group):
+    """Batch-major lift of each group-wide block of the rows of (batch, m) x."""
+    if group == 0:
+        return x
+    g = x.reshape(len(x), -1, group)
+    ones = np.ones(g.shape[:-1] + (1,))
+    sq = (g * g).sum(axis=-1, keepdims=True)
+    return np.concatenate([g, -ones, -0.5 * sq], axis=-1).reshape(len(x), -1)
+
+
+def reference_fit(model, points, labels, epochs, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):
+    """Full-batch Adam with every array laid out (batch, features).
+
+    The textbook formulas, written independently of the package's feature-
+    major core: forward, softmax cross-entropy, backward and Adam.
+    """
+    theta = model.theta
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    rows = np.arange(len(labels))
+    losses = []
+    for t in range(1, epochs + 1):
+        x = points.reshape(len(points), -1)
+        trace = []
+        for layer in model.layers:
+            e = reference_lift(x, layer.group)
+            z = e @ layer.w.T + (0.0 if layer.b is None else layer.b)
+            trace.append((x, e, z))
+            x = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        shifted = x - x.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        losses.append(-log_probs[rows, labels].mean())
+        d = np.exp(log_probs)
+        d[rows, labels] -= 1.0
+        d /= len(rows)
+        parts = []
+        for layer, (x_in, e, z) in reversed(list(zip(model.layers, trace))):
+            dz = d * (z > 0.0) if layer.activation == "relu" else d
+            if layer.b is not None:
+                parts.append(dz.sum(axis=0))
+            parts.append((dz.T @ e).ravel())
+            d = dz @ layer.w
+            if layer.group:
+                blocks = d.reshape(len(d), -1, layer.group + 2)
+                g = x_in.reshape(len(x_in), -1, layer.group)
+                d = (blocks[..., : layer.group] - blocks[..., -1:] * g).reshape(x_in.shape)
+        grad = np.concatenate(parts[::-1])
+        m = b1 * m + (1.0 - b1) * grad
+        v = b2 * v + (1.0 - b2) * grad * grad
+        theta -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+    return np.array(losses)
+
+
+def test_feature_major_fit_matches_batch_major_reference():
+    # the layout changes the order of some sums, so agreement is to rounding
+    data = make_dataset("main", 200, noise_a=0.1, seed=23)
+    for kind in MODEL_KINDS:
+        model = build_model(kind, np.random.default_rng(24))
+        ref = model.copy()
+        losses = fit(model, data.points, data.labels, 300)
+        ref_losses = reference_fit(ref, data.points, data.labels, 300)
+        assert np.max(np.abs(model.theta - ref.theta)) <= 1e-12, kind
+        assert np.max(np.abs(losses - ref_losses)) <= 1e-12, kind
+        assert losses[-1] < losses[0]
+
+
+def test_loss_and_backward_do_not_depend_on_the_logit_layout():
+    # forward returns a transposed view; a C-contiguous copy of it must give
+    # bit-identical losses and gradients
+    rng = np.random.default_rng(25)
+    for kind in MODEL_KINDS:
+        model = build_model(kind, rng)
+        pts = rng.uniform(-3, 3, (50, 4, 3))
+        labels = rng.integers(0, 8, 50)
+        logits, trace = forward(model, pts)
+        assert logits.shape == (50, 8) and not logits.flags.c_contiguous
+        loss, d = softmax_cross_entropy(logits, labels)
+        loss_c, d_c = softmax_cross_entropy(np.ascontiguousarray(logits), labels)
+        assert loss == loss_c and d.shape == d_c.shape == (50, 8)
+        assert np.array_equal(d, d_c)
+        grad = backward(model, trace, d)
+        assert np.array_equal(grad, backward(model, trace, np.ascontiguousarray(d)))
