@@ -5,10 +5,12 @@ measures incidence, builds small classifiers from that primitive, and
 reproduces the 3D Tetris experiments: train/val/test protocol statistics,
 rigid-motion weight transforms with exact activation isometry, and
 decision-sphere extraction.
+
+The root holds the names the demos and the README use; every other name is
+imported from its submodule, e.g. ``mlgp.models.load_checkpoint``.
 """
 
 from .conformal import (
-    DegenerateSphereError,
     RigidMotion,
     classify_point,
     conformal_dot,
@@ -17,54 +19,13 @@ from .conformal import (
     motor_matrix_point,
     motor_matrix_sphere,
     point_normalize,
-    random_rotation,
-    random_unit_vector,
     rotation_about_axis,
     sphere_from_center_radius,
 )
-from .experiment import (
-    IsometryReport,
-    ProtocolConfig,
-    ProtocolResult,
-    RunRecord,
-    StatRow,
-    export_spheres,
-    fit,
-    isometry_test,
-    load_records,
-    load_results,
-    make_test_set,
-    run_protocol,
-    save_records,
-    save_results,
-    summarize_records,
-    train,
-)
-from .models import (
-    MLGP,
-    MLHP,
-    MLP,
-    MODEL_KINDS,
-    Model,
-    accuracy,
-    build_model,
-    load_checkpoint,
-    param_count,
-    predict,
-    save_checkpoint,
-    transform_mlgp_weights,
-)
-from .nn import (
-    Adam,
-    Layer,
-    backward,
-    embed_pointwise,
-    forward,
-    softmax,
-    softmax_cross_entropy,
-)
+from .experiment import ProtocolConfig, export_spheres, fit, isometry_test, run_protocol
+from .models import MODEL_KINDS, accuracy, build_model, param_count, transform_mlgp_weights
+from .nn import forward
 from .tetris import (
-    LabeledShapeSet,
     SHAPE_NAMES,
     canonical_shapes,
     load_dataset,
@@ -72,63 +33,3 @@ from .tetris import (
     sample_motion,
     save_dataset,
 )
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Adam",
-    "DegenerateSphereError",
-    "IsometryReport",
-    "LabeledShapeSet",
-    "Layer",
-    "MLGP",
-    "MLHP",
-    "MLP",
-    "MODEL_KINDS",
-    "Model",
-    "ProtocolConfig",
-    "ProtocolResult",
-    "RigidMotion",
-    "RunRecord",
-    "SHAPE_NAMES",
-    "StatRow",
-    "accuracy",
-    "backward",
-    "build_model",
-    "canonical_shapes",
-    "classify_point",
-    "conformal_dot",
-    "embed_point",
-    "embed_pointwise",
-    "export_spheres",
-    "extract_center_radius_sq",
-    "fit",
-    "forward",
-    "isometry_test",
-    "load_checkpoint",
-    "load_dataset",
-    "load_records",
-    "load_results",
-    "make_dataset",
-    "make_test_set",
-    "motor_matrix_point",
-    "motor_matrix_sphere",
-    "param_count",
-    "point_normalize",
-    "predict",
-    "random_rotation",
-    "random_unit_vector",
-    "rotation_about_axis",
-    "run_protocol",
-    "sample_motion",
-    "save_checkpoint",
-    "save_dataset",
-    "save_records",
-    "save_results",
-    "softmax",
-    "softmax_cross_entropy",
-    "sphere_from_center_radius",
-    "summarize_records",
-    "train",
-    "transform_mlgp_weights",
-]

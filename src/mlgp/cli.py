@@ -8,10 +8,10 @@ Subcommands:
 * ``isometry-test``  - weight-space vs data-space motion comparison.
 * ``export-spheres`` - decision-sphere report from a trained checkpoint.
 
-Flags default to the reference protocol (1000/9000/90000 splits, 50 runs,
-20000 epochs, lr 0.001, betas 0.9/0.999); ``--desk-scale`` shrinks the
-protocol to 5 runs and a 10000-sample test set.  Exit status is nonzero
-when an invariant check fails.
+Protocol and Adam flags take their defaults from
+:class:`mlgp.experiment.ProtocolConfig`, the reference protocol;
+``--desk-scale`` shrinks the protocol to 5 runs and a 10000-sample test
+set.  Exit status is nonzero when an invariant check fails.
 """
 
 import argparse
@@ -22,11 +22,14 @@ import numpy as np
 from . import experiment, models, tetris
 
 
+_REFERENCE = experiment.ProtocolConfig()
+
+
 def _add_adam_flags(p):
-    p.add_argument("--epochs", type=int, default=20000)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--beta1", type=float, default=0.9)
-    p.add_argument("--beta2", type=float, default=0.999)
+    p.add_argument("--epochs", type=int, default=_REFERENCE.epochs)
+    p.add_argument("--lr", type=float, default=_REFERENCE.lr)
+    p.add_argument("--beta1", type=float, default=_REFERENCE.beta1)
+    p.add_argument("--beta2", type=float, default=_REFERENCE.beta2)
 
 
 def build_parser():
@@ -54,21 +57,21 @@ def build_parser():
 
     p = sub.add_parser("protocol", help="multi-run experiment with statistics")
     p.add_argument(
-        "--experiment", choices=experiment.EXPERIMENT_KINDS, default="main"
+        "--experiment", choices=experiment.EXPERIMENT_KINDS, default=_REFERENCE.experiment
     )
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--noise", type=float, default=_REFERENCE.noise_a)
     p.add_argument(
         "--models",
-        default=",".join(models.MODEL_KINDS),
+        default=",".join(_REFERENCE.models),
         help="comma-separated subset of mlp,mlhp,mlgp",
     )
-    p.add_argument("--runs", type=int, default=50)
+    p.add_argument("--runs", type=int, default=_REFERENCE.runs)
     _add_adam_flags(p)
-    p.add_argument("--train-size", type=int, default=1000)
-    p.add_argument("--val-size", type=int, default=9000)
-    p.add_argument("--test-size", type=int, default=90000)
-    p.add_argument("--top-k", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--train-size", type=int, default=_REFERENCE.train_size)
+    p.add_argument("--val-size", type=int, default=_REFERENCE.val_size)
+    p.add_argument("--test-size", type=int, default=_REFERENCE.test_size)
+    p.add_argument("--top-k", type=int, default=_REFERENCE.top_k)
+    p.add_argument("--seed", type=int, default=_REFERENCE.master_seed, help="master seed")
     p.add_argument(
         "--desk-scale",
         action="store_true",

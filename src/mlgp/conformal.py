@@ -100,7 +100,7 @@ def conformal_dot(point_vec, sphere_vec):
     return float(p @ s)
 
 
-def is_normalized(sphere_vec):
+def _is_normalized(sphere_vec):
     """True if the sphere vector is in canonical form (last component 1)."""
     return float(np.asarray(sphere_vec)[-1]) == 1.0
 
@@ -125,7 +125,7 @@ def extract_center_radius_sq(sphere_vec):
     unmodified.
     """
     s = np.asarray(sphere_vec, dtype=float)
-    if not is_normalized(s):
+    if not _is_normalized(s):
         raise ValueError("sphere must be normalized (last component 1)")
     c = s[:-2].copy()
     return c, float(c @ c - 2.0 * s[-2])
@@ -137,7 +137,7 @@ def classify_point(point_vec, sphere_vec, tol=ON_SURFACE_TOL):
     Returns "inside", "on", or "outside" by the sign of the incidence
     product, with an |dot| <= tol band mapped to "on".
     """
-    if not is_normalized(sphere_vec):
+    if not _is_normalized(sphere_vec):
         raise ValueError("sphere must be normalized (last component 1)")
     d = conformal_dot(point_vec, sphere_vec)
     if abs(d) <= tol:
@@ -229,19 +229,13 @@ def rotation_about_axis(axis, angle):
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
-def random_unit_vector(rng):
-    """Uniform direction on the unit sphere (normalized standard normals)."""
-    while True:
-        v = rng.standard_normal(3)
-        n = np.linalg.norm(v)
-        if n > 1e-12:
-            return v / n
-
-
 def random_rotation(rng, angle_sampler):
     """Rotation about a uniformly random axis by an angle from the sampler.
 
-    The axis is drawn first, then ``angle_sampler(rng)`` supplies the angle.
+    The axis, a standard normal 3-vector (redrawn while shorter than 1e-12),
+    is drawn first, then ``angle_sampler(rng)`` supplies the angle.
     """
-    axis = random_unit_vector(rng)
-    return rotation_about_axis(axis, float(angle_sampler(rng)))
+    axis = rng.standard_normal(3)
+    while (n := np.linalg.norm(axis)) <= 1e-12:
+        axis = rng.standard_normal(3)
+    return rotation_about_axis(axis / n, float(angle_sampler(rng)))

@@ -45,7 +45,11 @@ LOGIT_ISOMETRY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Hyperparameters and sizes for one multi-run experiment."""
+    """Hyperparameters and sizes for one multi-run experiment.
+
+    The defaults are the reference protocol's; :func:`fit` and the command
+    line take theirs from here.
+    """
 
     experiment: str = MAIN_EXPERIMENT
     noise_a: float = 0.0
@@ -64,6 +68,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        if not self.models or len(set(self.models)) != len(self.models):
+            raise ValueError(f"models must be distinct and at least one, got {self.models!r}")
         for kind in self.models:
             if kind not in MODEL_KINDS:
                 raise ValueError(f"unknown model kind {kind!r}")
@@ -74,9 +80,9 @@ class ProtocolConfig:
         if not 1 <= self.top_k:
             raise ValueError("top_k must be at least 1")
 
-    def desk_scale(self, **overrides):
+    def desk_scale(self):
         """Small-footprint variant: 5 runs, 10000-sample test set."""
-        return replace(self, runs=5, test_size=10000, top_k=2, **overrides)
+        return replace(self, runs=5, test_size=10000, top_k=2)
 
 
 @dataclass(frozen=True)
@@ -155,15 +161,16 @@ def run_seeds(config, model_kind):
     return [derive_seed(config.master_seed, 1, idx, r) for r in range(config.runs)]
 
 
-def fit(model, points, labels, epochs, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+def fit(model, points, labels, epochs, lr=ProtocolConfig.lr,
+        beta1=ProtocolConfig.beta1, beta2=ProtocolConfig.beta2):
     """Full-batch Adam on softmax cross-entropy; returns per-epoch losses.
 
-    The first layer's input lift has no parameters, so it is computed once
-    and reused every epoch.
+    The Adam defaults are the reference protocol's.  The first layer's input
+    lift has no parameters, so it is computed once and reused every epoch.
     """
     first = embed_input(model.layers[0], points)
     labels = np.asarray(labels)
-    opt = Adam(model.theta, lr, beta1, beta2, eps)
+    opt = Adam(model.theta, lr, beta1, beta2)
     losses = np.empty(epochs)
     for epoch in range(epochs):
         logits, trace = forward(model, points, first_embedded=first)
@@ -340,7 +347,7 @@ class IsometryReport:
         return same and self.max_logit_deviation <= LOGIT_ISOMETRY_TOL
 
 
-def isometry_test(model, test_set, trials=100, seed=0, t_range=3.0):
+def isometry_test(model, test_set, trials=100, seed=0):
     """Compare weight-space and data-space rigid motions on a trained model.
 
     Each trial samples one motion, moves the test shapes with it, moves the
@@ -360,7 +367,7 @@ def isometry_test(model, test_set, trials=100, seed=0, t_range=3.0):
     accs = {name: np.empty(trials) for name in COMBO_NAMES}
     max_dev = 0.0
     for t in range(trials):
-        motion = sample_motion(rng, t_range=t_range)
+        motion = sample_motion(rng)
         moved_pts = motion.apply(pts)
         moved_model = transform_mlgp_weights(model, motion)
         logits_tt, _ = forward(moved_model, moved_pts)

@@ -45,18 +45,6 @@ def activation_derivative(name, z):
     raise ValueError(f"unknown activation {name!r}")
 
 
-def embed_pointwise(points):
-    """Lift each 3D point of a (k, 3) or (batch, k, 3) array and concatenate.
-
-    Every point row (x, y, z) becomes (x, y, z, -1, -||p||^2/2); the k lifted
-    rows are flattened row-wise into a length-5k vector.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim not in (2, 3) or pts.shape[-1] != 3:
-        raise ValueError(f"expected (..., k, 3) points, got shape {pts.shape}")
-    return lift(pts.reshape(pts.shape[:-2] + (-1,)).T, 3).T
-
-
 class Layer:
     """One layer of a model: its shape, its activation, and parameter views.
 
@@ -194,15 +182,23 @@ def softmax_cross_entropy(logits, labels):
     return loss, (d[:, 0] if np.ndim(logits) == 1 else d.T)
 
 
+# added to the root of the second-moment estimate (Kingma & Ba's value)
+EPS = 1e-8
+
+
 class Adam:
     """Bias-corrected Adam (Kingma & Ba, arXiv 1412.6980), in place on ``theta``."""
 
-    def __init__(self, theta, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, theta, lr, beta1, beta2):
+        if not (lr > 0.0 and np.isfinite(lr)):
+            raise ValueError(f"learning rate must be finite and positive, got {lr}")
+        for name, beta in (("beta1", beta1), ("beta2", beta2)):
+            if not 0.0 <= beta < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {beta}")
         self.theta = theta
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
@@ -215,4 +211,4 @@ class Adam:
         self.v += (1.0 - self.beta2) * (grad * grad)
         m_hat = self.m / (1.0 - self.beta1**self.t)
         v_hat = self.v / (1.0 - self.beta2**self.t)
-        self.theta -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.theta -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)

@@ -17,6 +17,9 @@ TWO_PI = 2.0 * np.pi
 NUM_CLASSES = 8
 POINTS_PER_SHAPE = 4
 
+# every translation component is uniform in (-T_RANGE, T_RANGE)
+T_RANGE = 3.0
+
 SHAPE_NAMES = (
     "chiral_one",
     "chiral_two",
@@ -97,16 +100,14 @@ def sample_angle(rng, intervals):
     return rng.uniform(lo, hi)
 
 
-def sample_motion(rng, angle_intervals=MAIN_ANGLES, t_range=3.0):
+def sample_motion(rng, angle_intervals=MAIN_ANGLES):
     """Random rigid motion: axis-uniform rotation plus a cube translation.
 
     The rotation angle is uniform over the interval union; each translation
-    component is i.i.d. uniform in (-t_range, t_range).
+    component is i.i.d. uniform in (-T_RANGE, T_RANGE).
     """
-    if t_range < 0.0:
-        raise ValueError("t_range must be nonnegative")
     rotation = random_rotation(rng, lambda r: sample_angle(r, angle_intervals))
-    translation = rng.uniform(-t_range, t_range, 3)
+    translation = rng.uniform(-T_RANGE, T_RANGE, 3)
     return RigidMotion(rotation, translation)
 
 
@@ -122,7 +123,7 @@ class LabeledShapeSet:
         return len(self.labels)
 
 
-def make_dataset(kind, size, noise_a=0.0, seed=0, t_range=3.0):
+def make_dataset(kind, size, noise_a=0.0, seed=0):
     """Generate a class-balanced dataset of rigidly moved canonical shapes.
 
     Labels cycle 0..7, so per-class counts differ by at most one.  Noise, when
@@ -134,14 +135,14 @@ def make_dataset(kind, size, noise_a=0.0, seed=0, t_range=3.0):
         raise ValueError(f"unknown dataset kind {kind!r}")
     if size < NUM_CLASSES:
         raise ValueError(f"size must be at least {NUM_CLASSES}")
-    if noise_a < 0.0:
-        raise ValueError("noise amplitude must be nonnegative")
+    if not (noise_a >= 0.0 and np.isfinite(2.0 * noise_a)):  # the width of (-a, a)
+        raise ValueError(f"noise amplitude must be nonnegative with 2a finite, got {noise_a}")
     intervals = DATASET_ANGLES[kind]
     rng = np.random.default_rng(seed)
     labels = np.arange(size, dtype=np.int64) % NUM_CLASSES
     points = np.empty((size, POINTS_PER_SHAPE, 3))
     for i in range(size):
-        motion = sample_motion(rng, intervals, t_range)
+        motion = sample_motion(rng, intervals)
         sample = motion.apply(_CANONICAL[labels[i]])
         if noise_a > 0.0:
             sample = sample + rng.uniform(-noise_a, noise_a, (POINTS_PER_SHAPE, 3))
@@ -151,7 +152,7 @@ def make_dataset(kind, size, noise_a=0.0, seed=0, t_range=3.0):
         "kind": kind,
         "noise_a": float(noise_a),
         "angle_intervals": intervals,
-        "t_range": float(t_range),
+        "t_range": T_RANGE,
     }
     return LabeledShapeSet(points, labels, meta)
 

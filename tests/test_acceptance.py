@@ -19,6 +19,7 @@ from mlgp.conformal import (
     RigidMotion,
     embed_point,
     conformal_dot,
+    lift,
     motor_matrix_point,
     motor_matrix_sphere,
     random_rotation,
@@ -32,7 +33,7 @@ from mlgp.experiment import (
     run_protocol,
 )
 from mlgp.models import build_model, param_count, transform_mlgp_weights
-from mlgp.nn import backward, embed_pointwise, forward, softmax_cross_entropy
+from mlgp.nn import backward, forward, softmax_cross_entropy
 
 MASTER_SEED = 1
 DESK = ProtocolConfig(master_seed=MASTER_SEED).desk_scale()
@@ -113,10 +114,10 @@ def test_criterion_05_geometric_neuron_isometry(capsys):
         w = rng.standard_normal(20)
         pts = rng.uniform(-3, 3, (4, 3))
         m = random_motion(rng)
-        z = float(w @ embed_pointwise(pts))
+        z = float(w @ lift(np.ravel(pts), 3))
         mat = motor_matrix_sphere(m)
         w_t = (w.reshape(4, 5) @ mat.T).reshape(20)
-        z_t = float(w_t @ embed_pointwise(m.apply(pts)))
+        z_t = float(w_t @ lift(np.ravel(m.apply(pts)), 3))
         worst = max(worst, abs(z_t - z) / (1.0 + abs(z)))
     report(capsys, 5, worst <= 1e-9,
            f"unit output invariant under joint motion, max rel dev {worst:.2e}")

@@ -28,6 +28,21 @@ def test_gen_data_rejects_unknown_kind(tmp_path):
         run("gen-data", "--kind", "nope", "--out", tmp_path / "x.csv")
 
 
+def one_line_error(capsys):
+    """True if the command wrote one ``error:`` line and no output."""
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    return err.startswith("error:") and "\n" not in err and not captured.out
+
+
+def test_gen_data_rejects_nan_inf_and_overflowing_noise(tmp_path, capsys):
+    for noise in ("nan", "inf", "1e308"):
+        out = tmp_path / f"{noise}.csv"
+        assert run("gen-data", "--size", "16", "--noise", noise, "--out", out) == 1
+        assert one_line_error(capsys)
+        assert not out.exists()
+
+
 def test_train_and_checkpoint(tmp_path, capsys):
     data = tmp_path / "train.csv"
     val = tmp_path / "val.csv"
@@ -75,6 +90,34 @@ def test_protocol_desk_scale_flag(tmp_path):
     # desk scale forces the 10000-sample test set
     stats = load_results(results)
     assert len(stats) == 2
+
+
+def test_protocol_rejects_empty_or_repeated_models(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    for kinds in ("", "mlp,mlp"):
+        assert run("protocol", "--models", kinds, "--runs", "1", "--epochs", "3",
+                   "--train-size", "16", "--val-size", "16", "--test-size", "16",
+                   "--results", results) == 1
+        assert one_line_error(capsys)
+        assert not results.exists()
+
+
+def test_train_and_protocol_reject_bad_adam_settings(tmp_path, capsys):
+    data = tmp_path / "train.csv"
+    ckpt = tmp_path / "model.json"
+    results = tmp_path / "results.csv"
+    run("gen-data", "--size", "16", "--seed", "1", "--out", data)
+    capsys.readouterr()
+    for flag, value in (("--lr", "nan"), ("--lr", "0"), ("--beta1", "1"), ("--beta2", "-0.1")):
+        assert run("train", "--model", "mlp", "--train", data, "--epochs", "3",
+                   flag, value, "--out", ckpt) == 1
+        assert one_line_error(capsys)
+        assert not ckpt.exists()
+        assert run("protocol", "--models", "mlp", "--runs", "1", "--epochs", "3",
+                   flag, value, "--train-size", "16", "--val-size", "16",
+                   "--test-size", "16", "--results", results) == 1
+        assert one_line_error(capsys)
+        assert not results.exists()
 
 
 def _trained_checkpoint(tmp_path, model="mlgp", epochs=200):

@@ -10,14 +10,12 @@ from mlgp.conformal import (
     conformal_dot,
     embed_point,
     extract_center_radius_sq,
-    is_normalized,
     lift,
     lift_grad,
     motor_matrix_point,
     motor_matrix_sphere,
     point_normalize,
     random_rotation,
-    random_unit_vector,
     rotation_about_axis,
     sphere_from_center_radius,
 )
@@ -82,7 +80,7 @@ def test_sphere_examples():
     assert np.array_equal(sphere_from_center_radius([0, 0, 0], 1.0), [0, 0, 0, -0.5, 1])
     # unit sphere translated to (1,0,0)
     assert np.array_equal(sphere_from_center_radius([1, 0, 0], 1.0), [1, 0, 0, 0, 1])
-    assert is_normalized(sphere_from_center_radius([2, 3, 4], 0.5))
+    assert sphere_from_center_radius([2, 3, 4], 0.5)[-1] == 1.0
 
 
 def test_conformal_dot_matches_distance_formula():
@@ -187,14 +185,18 @@ def test_rotation_about_axis():
         assert abs(np.linalg.det(r) - 1.0) <= 1e-14
 
 
-def test_random_unit_vector_and_rotation():
+def test_random_rotation_draws_axis_then_angle():
     rng = np.random.default_rng(6)
     for _ in range(50):
-        v = random_unit_vector(rng)
-        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        r = random_rotation(rng, lambda g: g.uniform(0, 2 * np.pi))
+        assert np.allclose(r.T @ r, np.eye(3), atol=1e-14)
+        assert abs(np.linalg.det(r) - 1.0) <= 1e-14
+    # the axis is one normalized standard_normal(3) draw, then the angle
+    ref = np.random.default_rng(7)
+    axis = ref.standard_normal(3)
+    want = rotation_about_axis(axis / np.linalg.norm(axis), ref.uniform(0, 2 * np.pi))
     r = random_rotation(np.random.default_rng(7), lambda g: g.uniform(0, 2 * np.pi))
-    r2 = random_rotation(np.random.default_rng(7), lambda g: g.uniform(0, 2 * np.pi))
-    assert np.array_equal(r, r2)
+    assert np.array_equal(r, want)
 
 
 def test_motor_adjoint_law():

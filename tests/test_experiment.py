@@ -60,6 +60,9 @@ def test_config_validation():
         ProtocolConfig(runs=0)
     with pytest.raises(ValueError):
         ProtocolConfig(top_k=0)
+    for kinds in ((), ("mlp", "mlp"), ("mlgp", "mlp", "mlgp")):
+        with pytest.raises(ValueError, match="models"):
+            ProtocolConfig(models=kinds)
 
 
 def test_derive_seed_is_deterministic_and_keyed():

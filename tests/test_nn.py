@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mlgp.conformal import embed_point, point_normalize, sphere_from_center_radius
+from mlgp.conformal import embed_point, lift, point_normalize, sphere_from_center_radius
 from mlgp.experiment import fit
 from mlgp.models import MODEL_KINDS, Model, build_model
 from mlgp.nn import (
@@ -12,7 +12,6 @@ from mlgp.nn import (
     apply_activation,
     backward,
     embed_input,
-    embed_pointwise,
     forward,
     softmax,
     softmax_cross_entropy,
@@ -20,14 +19,19 @@ from mlgp.nn import (
 from mlgp.tetris import make_dataset
 
 
-def test_embed_pointwise_examples():
-    assert np.array_equal(embed_pointwise([[0.0, 0.0, 0.0]]), [0, 0, 0, -1, 0])
-    got = embed_pointwise([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+def lift_points(pts):
+    """Point-wise lift of a (k, 3) shape: k concatenated 5-blocks."""
+    return lift(np.ravel(pts), 3)
+
+
+def test_pointwise_lift_examples():
+    assert np.array_equal(lift_points([[0.0, 0.0, 0.0]]), [0, 0, 0, -1, 0])
+    got = lift_points([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     assert np.array_equal(got, [0, 0, 0, -1, 0, 1, 0, 0, -1, -0.5])
     # a 4-point shape lifts to length 20
     rng = np.random.default_rng(0)
     shape = rng.uniform(-3, 3, (4, 3))
-    v = embed_pointwise(shape)
+    v = lift_points(shape)
     assert v.shape == (20,)
     # each 5-block must match the single-point lift (sum orderings may
     # differ in the last bit)
@@ -35,15 +39,16 @@ def test_embed_pointwise_examples():
         assert np.allclose(v[5 * i : 5 * i + 5], embed_point(shape[i]), atol=1e-14)
 
 
-def test_embed_pointwise_batch_and_validation():
+def test_embed_input_batch_and_validation():
     rng = np.random.default_rng(1)
     batch = rng.uniform(-3, 3, (6, 4, 3))
-    v = embed_pointwise(batch)
+    first = build_model("mlgp").layers[0]
+    v = embed_input(first, batch)
     assert v.shape == (6, 20)
     for i in range(6):
-        assert np.array_equal(v[i], embed_pointwise(batch[i]))
+        assert np.array_equal(v[i], lift_points(batch[i]))
     with pytest.raises(ValueError):
-        embed_pointwise(np.zeros((4, 2)))
+        embed_input(first, np.zeros((4, 2)))
 
 
 def test_layer_construction():
@@ -77,7 +82,7 @@ def test_geometric_neuron_decomposes_into_spheres():
         w = rng.standard_normal(20)
         w[4::5] += np.sign(w[4::5]) * 0.1  # keep scale factors nonzero
         pts = rng.uniform(-3, 3, (4, 3))
-        z = float(w @ embed_pointwise(pts))
+        z = float(w @ lift_points(pts))
         total = 0.0
         for i in range(4):
             s, gamma = point_normalize(w[5 * i : 5 * i + 5])
@@ -128,7 +133,7 @@ def test_forward_matches_direct_matrix_evaluation():
     pts = rng.uniform(-3, 3, (4, 3))
     logits, _ = forward(model, pts)
     first, second = model.layers
-    h = first.w @ embed_pointwise(pts)
+    h = first.w @ lift_points(pts)
     want = second.w @ embed_point(h)
     assert np.allclose(logits, want, atol=1e-12)
 
@@ -305,16 +310,27 @@ def test_adam_zero_gradient_is_a_fixed_point():
     rng = np.random.default_rng(17)
     theta = rng.uniform(-1, 1, 134)
     before = theta.copy()
-    opt = Adam(theta)
+    opt = Adam(theta, 0.001, 0.9, 0.999)
     for _ in range(5):
         opt.step(np.zeros_like(theta))
     assert np.array_equal(theta, before)
 
 
+def test_adam_rejects_bad_settings():
+    theta = np.zeros(3)
+    nan, inf = float("nan"), float("inf")
+    for lr, b1, b2 in ((nan, 0.9, 0.999), (inf, 0.9, 0.999), (0.0, 0.9, 0.999),
+                       (-0.1, 0.9, 0.999), (0.001, 1.0, 0.999), (0.001, -0.1, 0.999),
+                       (0.001, 0.9, 1.0), (0.001, 0.9, nan)):
+        with pytest.raises(ValueError):
+            Adam(theta, lr, b1, b2)
+    Adam(theta, 0.001, 0.0, 0.0)  # zero betas are allowed
+
+
 def test_adam_first_step_is_signed_learning_rate():
     # after bias correction, step 1 moves each weight by ~lr * sign(g)
     theta = np.ones(3)
-    opt = Adam(theta, lr=0.01)
+    opt = Adam(theta, lr=0.01, beta1=0.9, beta2=0.999)
     g = np.array([0.3, -2.0, 0.5])
     opt.step(g)
     assert np.allclose(theta, 1.0 - 0.01 * np.sign(g), atol=1e-6)
@@ -338,7 +354,7 @@ def test_adam_matches_scalar_reference_trace():
         ref.append((a, b))
 
     theta = np.array([1.0, -1.0])
-    opt = Adam(theta, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    opt = Adam(theta, lr=lr, beta1=b1, beta2=b2)
     for t in range(10):
         opt.step(np.array([theta[0], 4.0 * theta[1]]))
         assert np.allclose(theta, ref[t], atol=1e-12)

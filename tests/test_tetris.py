@@ -16,6 +16,7 @@ from mlgp.tetris import (
     THETA_EVAL_ANGLES,
     THETA_TRAIN,
     THETA_TRAIN_ANGLES,
+    T_RANGE,
     canonical_shapes,
     load_dataset,
     make_dataset,
@@ -127,13 +128,10 @@ def test_theta_split_intervals_are_disjoint():
 
 def test_sample_motion_translation_range():
     rng = np.random.default_rng(23)
-    for _ in range(200):
-        m = sample_motion(rng, t_range=3.0)
-        assert np.all(np.abs(m.translation) < 3.0)
-    m = sample_motion(rng, t_range=0.0)
-    assert np.array_equal(m.translation, np.zeros(3))
-    with pytest.raises(ValueError):
-        sample_motion(rng, t_range=-1.0)
+    shifts = np.array([sample_motion(rng).translation for _ in range(200)])
+    assert np.all(np.abs(shifts) < T_RANGE)
+    # the draws spread over the cube, not a fraction of it
+    assert shifts.min() < -0.9 * T_RANGE and shifts.max() > 0.9 * T_RANGE
 
 
 def test_make_dataset_basics():
@@ -143,12 +141,16 @@ def test_make_dataset_basics():
     # labels cycle through the classes
     assert np.array_equal(data.labels, np.arange(40) % NUM_CLASSES)
     assert data.meta["kind"] == MAIN
+    assert data.meta["t_range"] == T_RANGE
     with pytest.raises(ValueError):
         make_dataset("nope", 40)
     with pytest.raises(ValueError):
         make_dataset(MAIN, 4)
     with pytest.raises(ValueError):
         make_dataset(MAIN, 40, noise_a=-0.1)
+    for noise in (float("nan"), float("inf"), 1e308):
+        with pytest.raises(ValueError, match="noise"):
+            make_dataset(MAIN, 40, noise_a=noise)
 
 
 def test_make_dataset_deterministic():
