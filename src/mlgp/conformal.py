@@ -31,6 +31,11 @@ ON_SURFACE_TOL = 1e-9
 
 _ORTHOGONALITY_TOL = 1e-12
 
+# flat row-major positions of +x, +y, +z and of -x, -y, -z in the 3x3
+# cross-product matrix [[0, -z, y], [z, 0, -x], [-y, x, 0]]
+_CROSS_PLUS = np.array([7, 2, 3])
+_CROSS_MINUS = np.array([5, 6, 1])
+
 
 class DegenerateSphereError(ValueError):
     """Sphere vector whose scale factor (last component) is zero.
@@ -215,17 +220,23 @@ def motor_matrix_point(motion):
 
 
 def rotation_about_axis(axis, angle):
-    """Rotation matrix for an axis (any nonzero 3-vector) and an angle."""
+    """Rotation matrices for axes (any nonzero 3-vectors) and angles.
+
+    ``axis`` has shape (..., 3) and ``angle`` shape (...); the result has
+    shape (..., 3, 3), one Rodrigues rotation per axis.  A stack gives
+    bit for bit the matrices of its rows taken one at a time.
+    """
     a = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(a)
-    if n < 1e-12:
+    # sqrt(a @ a) per row: the same rounding as np.linalg.norm of one vector
+    n = np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0, 0])
+    if (n < 1e-12).any():
         raise ValueError("axis must be a nonzero vector")
-    a = a / n
-    k = np.array([
-        [0.0, -a[2], a[1]],
-        [a[2], 0.0, -a[0]],
-        [-a[1], a[0], 0.0],
-    ])
+    a = a / n[..., None]
+    k = np.zeros(a.shape[:-1] + (9,))  # the cross-product matrix of a, row-major
+    k[..., _CROSS_PLUS] = a
+    k[..., _CROSS_MINUS] = -a
+    k = k.reshape(a.shape + (3,))
+    angle = np.asarray(angle, dtype=float)[..., None, None]
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 

@@ -14,6 +14,7 @@ excepted).
 """
 
 import csv
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -168,6 +169,8 @@ def fit(model, points, labels, epochs, lr=ProtocolConfig.lr,
     The Adam defaults are the reference protocol's.  The first layer's input
     lift has no parameters, so it is computed once and reused every epoch.
     """
+    if not isinstance(epochs, numbers.Integral) or epochs < 0:
+        raise ValueError(f"epochs must be an integer >= 0, got {epochs!r}")
     first = embed_input(model.layers[0], points)
     labels = np.asarray(labels)
     opt = Adam(model.theta, lr, beta1, beta2)

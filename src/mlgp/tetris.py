@@ -7,10 +7,12 @@ angle range: the main kind uses all of [0, 2pi), while the theta-split kinds
 use disjoint angle unions to probe generalization over unseen rotations.
 """
 
-import numpy as np
+import math
 from dataclasses import dataclass, field
 
-from .conformal import RigidMotion, random_rotation
+import numpy as np
+
+from .conformal import RigidMotion, random_rotation, rotation_about_axis
 
 TWO_PI = 2.0 * np.pi
 
@@ -19,6 +21,10 @@ POINTS_PER_SHAPE = 4
 
 # every translation component is uniform in (-T_RANGE, T_RANGE)
 T_RANGE = 3.0
+
+# make_dataset moves this many shapes at a time; the output does not depend
+# on it, and small blocks keep the draw buffers out of the peak memory
+_BLOCK = 1024
 
 SHAPE_NAMES = (
     "chiral_one",
@@ -111,6 +117,11 @@ def sample_motion(rng, angle_intervals=MAIN_ANGLES):
     return RigidMotion(rotation, translation)
 
 
+def _uniform(lo, hi, u):
+    """``Generator.uniform(lo, hi)`` for the ``random()`` draw u, bit for bit."""
+    return lo + (hi - lo) * u
+
+
 @dataclass
 class LabeledShapeSet:
     """A dataset split: per-sample 4x3 point arrays with labels in 0..7."""
@@ -130,6 +141,17 @@ def make_dataset(kind, size, noise_a=0.0, seed=0):
     ``noise_a > 0``, is i.i.d. uniform in (-noise_a, noise_a) per coordinate
     and is added after the rigid motion.  Identical arguments produce
     bit-identical datasets.
+
+    The draws are a contract.  Sample by sample, ``default_rng(seed)`` gives
+    the rotation axis (``standard_normal(3)``, redrawn while its norm is at
+    most 1e-12), the angle-interval pick (``random()`` times the union's
+    length), the angle (``uniform(lo, hi)``), the translation
+    (``uniform(-T_RANGE, T_RANGE, 3)``) and, when ``noise_a > 0``, the noise
+    (``uniform(-noise_a, noise_a, (4, 3))``): each sample is
+    ``sample_motion(rng, DATASET_ANGLES[kind]).apply(shape)`` plus its noise.
+    The samples are drawn and moved in blocks of ``_BLOCK``, with one batched
+    rotation and matmul per block; neither the blocks nor drawing a sample's
+    uniforms with one ``random(k)`` call changes the output.
     """
     if kind not in DATASET_ANGLES:
         raise ValueError(f"unknown dataset kind {kind!r}")
@@ -138,15 +160,37 @@ def make_dataset(kind, size, noise_a=0.0, seed=0):
     if not (noise_a >= 0.0 and np.isfinite(2.0 * noise_a)):  # the width of (-a, a)
         raise ValueError(f"noise amplitude must be nonnegative with 2a finite, got {noise_a}")
     intervals = DATASET_ANGLES[kind]
+    bounds = np.array(intervals)
+    lengths = bounds[:, 1] - bounds[:, 0]
+    total, ends = lengths.sum(), np.cumsum(lengths)
+    a = float(noise_a)
+    # per sample: interval pick, angle, 3 translation and 0 or 12 noise uniforms
+    n_uniform = 5 + (POINTS_PER_SHAPE * 3 if a > 0.0 else 0)
     rng = np.random.default_rng(seed)
+    normal, random = rng.standard_normal, rng.random
     labels = np.arange(size, dtype=np.int64) % NUM_CLASSES
     points = np.empty((size, POINTS_PER_SHAPE, 3))
-    for i in range(size):
-        motion = sample_motion(rng, intervals)
-        sample = motion.apply(_CANONICAL[labels[i]])
-        if noise_a > 0.0:
-            sample = sample + rng.uniform(-noise_a, noise_a, (POINTS_PER_SHAPE, 3))
-        points[i] = sample
+    for start in range(0, size, _BLOCK):
+        stop = min(start + _BLOCK, size)
+        axes = np.empty((stop - start, 3))
+        u = np.empty((stop - start, n_uniform))
+        norms = []
+        for axis, draws in zip(axes, u):
+            normal(out=axis)
+            # sqrt(axis @ axis) is the norm np.linalg.norm takes of one vector
+            while (norm := math.sqrt(axis.dot(axis))) <= 1e-12:
+                normal(out=axis)
+            norms.append(norm)
+            random(out=draws)
+        axes /= np.array(norms)[:, None]
+        pick = np.searchsorted(ends, u[:, 0] * total, side="right")
+        lo, hi = bounds[np.minimum(pick, len(bounds) - 1)].T
+        rot = rotation_about_axis(axes, _uniform(lo, hi, u[:, 1]))
+        shift = _uniform(-T_RANGE, T_RANGE, u[:, 2:5])
+        shapes = _CANONICAL[labels[start:stop]]
+        points[start:stop] = shapes @ rot.transpose(0, 2, 1) + shift[:, None, :]
+        if a > 0.0:
+            points[start:stop] += _uniform(-a, a, u[:, 5:]).reshape(-1, POINTS_PER_SHAPE, 3)
     meta = {
         "seed": int(seed),
         "kind": kind,

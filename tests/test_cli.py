@@ -102,6 +102,18 @@ def test_protocol_rejects_empty_or_repeated_models(tmp_path, capsys):
         assert not results.exists()
 
 
+def test_train_rejects_negative_epochs(tmp_path, capsys):
+    data = tmp_path / "train.csv"
+    ckpt = tmp_path / "model.json"
+    run("gen-data", "--size", "16", "--seed", "1", "--out", data)
+    capsys.readouterr()
+    assert run("train", "--model", "mlp", "--train", data, "--epochs", "-1",
+               "--out", ckpt) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "error: epochs must be an integer >= 0, got -1"
+    assert not ckpt.exists()
+
+
 def test_train_and_protocol_reject_bad_adam_settings(tmp_path, capsys):
     data = tmp_path / "train.csv"
     ckpt = tmp_path / "model.json"

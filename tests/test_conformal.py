@@ -185,6 +185,38 @@ def test_rotation_about_axis():
         assert abs(np.linalg.det(r) - 1.0) <= 1e-14
 
 
+def test_rotation_about_axis_is_the_one_vector_rodrigues_bit_for_bit():
+    # datasets recorded with the one-vector formula must not move
+    rng = np.random.default_rng(9)
+    for _ in range(500):
+        axis = rng.standard_normal(3)
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        a = axis / np.linalg.norm(axis)
+        k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+        want = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+        assert np.array_equal(rotation_about_axis(axis, angle), want)
+
+
+def test_rotation_about_axis_stacks_bit_for_bit():
+    rng = np.random.default_rng(8)
+    axes = rng.standard_normal((4, 5, 3)) * rng.choice([1e-6, 1.0, 1e6], (4, 5, 1))
+    angles = rng.uniform(-7.0, 7.0, (4, 5))
+    stack = rotation_about_axis(axes, angles)
+    assert stack.shape == (4, 5, 3, 3)
+    for idx in np.ndindex(4, 5):
+        r = stack[idx]
+        assert np.array_equal(r, rotation_about_axis(axes[idx], angles[idx]))
+        assert np.allclose(r.T @ r, np.eye(3), atol=1e-14)
+        assert abs(np.linalg.det(r) - 1.0) <= 1e-14
+    # one angle broadcasts over a stack of axes
+    assert np.array_equal(rotation_about_axis(axes, 0.3)[2, 1], rotation_about_axis(axes[2, 1], 0.3))
+    for row in (0, 7, 19):
+        flat = axes.reshape(20, 3).copy()
+        flat[row] = 0.0
+        with pytest.raises(ValueError, match="axis must be a nonzero vector"):
+            rotation_about_axis(flat, angles.ravel())
+
+
 def test_random_rotation_draws_axis_then_angle():
     rng = np.random.default_rng(6)
     for _ in range(50):

@@ -93,6 +93,17 @@ def test_fit_zero_epochs_keeps_weights():
     assert np.array_equal(model.theta, before)
 
 
+def test_fit_rejects_negative_or_non_integer_epochs():
+    model = build_model("mlp", np.random.default_rng(44))
+    before = model.theta.copy()
+    data = make_dataset("main", 16, seed=45)
+    for epochs in (-1, 2.5, "3", None):
+        with pytest.raises(ValueError, match=r"epochs must be an integer >= 0"):
+            fit(model, data.points, data.labels, epochs)
+    assert np.array_equal(model.theta, before)
+    assert fit(model, data.points, data.labels, np.int64(2)).shape == (2,)
+
+
 def test_fit_reduces_loss():
     rng = np.random.default_rng(42)
     data = make_dataset("main", 64, seed=43)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from mlgp.tetris import (
+    _CANONICAL,
+    DATASET_ANGLES,
     DATASET_HEADER,
     MAIN,
     MAIN_ANGLES,
@@ -159,6 +161,26 @@ def test_make_dataset_deterministic():
     assert np.array_equal(a.points, b.points)
     c = make_dataset(THETA_TRAIN, 64, noise_a=0.1, seed=32)
     assert not np.array_equal(a.points, c.points)
+
+
+def per_sample_dataset(kind, size, noise_a, seed):
+    """make_dataset's contract, one validated rigid motion per sample."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for i in range(size):
+        sample = sample_motion(rng, DATASET_ANGLES[kind]).apply(_CANONICAL[i % NUM_CLASSES])
+        if noise_a > 0.0:
+            sample = sample + rng.uniform(-noise_a, noise_a, (POINTS_PER_SHAPE, 3))
+        points.append(sample)
+    return np.array(points)
+
+
+@pytest.mark.parametrize("kind", [MAIN, THETA_TRAIN, THETA_EVAL])
+def test_make_dataset_matches_per_sample_motions_bit_for_bit(kind):
+    # the sizes straddle the sampler's 1024-shape blocks
+    for size, noise_a, seed in itertools.product((8, 1023, 1024, 1025, 2049), (0.0, 0.2), (0, 1)):
+        got = make_dataset(kind, size, noise_a, seed).points
+        assert np.array_equal(got, per_sample_dataset(kind, size, noise_a, seed)), (size, noise_a, seed)
 
 
 def test_noiseless_samples_are_rigid_copies():
