@@ -174,9 +174,9 @@ class RigidMotion:
         return RigidMotion(np.eye(3), np.zeros(3))
 
     def apply(self, points):
-        """Apply to one point (3,) or a stack of points (..., 3)."""
+        """Apply to one point (3,) or a stack of points (..., 3), in one matmul."""
         p = np.asarray(points, dtype=float)
-        return p @ self.rotation.T + self.translation
+        return (p.reshape(-1, 3) @ self.rotation.T + self.translation).reshape(p.shape)
 
     def compose(self, inner):
         """Motion equal to applying ``inner`` first, then this one."""
@@ -239,14 +239,3 @@ def rotation_about_axis(axis, angle):
     angle = np.asarray(angle, dtype=float)[..., None, None]
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
-
-def random_rotation(rng, angle_sampler):
-    """Rotation about a uniformly random axis by an angle from the sampler.
-
-    The axis, a standard normal 3-vector (redrawn while shorter than 1e-12),
-    is drawn first, then ``angle_sampler(rng)`` supplies the angle.
-    """
-    axis = rng.standard_normal(3)
-    while (n := np.linalg.norm(axis)) <= 1e-12:
-        axis = rng.standard_normal(3)
-    return rotation_about_axis(axis / n, float(angle_sampler(rng)))

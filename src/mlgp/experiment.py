@@ -74,12 +74,12 @@ class ProtocolConfig:
         for kind in self.models:
             if kind not in MODEL_KINDS:
                 raise ValueError(f"unknown model kind {kind!r}")
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
-        if not 1 <= self.top_k:
-            raise ValueError("top_k must be at least 1")
+        n = tetris.NUM_CLASSES  # the smallest dataset make_dataset draws
+        for name, least in (("runs", 1), ("epochs", 0), ("top_k", 1),
+                            ("train_size", n), ("val_size", n), ("test_size", n)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
     def desk_scale(self):
         """Small-footprint variant: 5 runs, 10000-sample test set."""
@@ -132,8 +132,13 @@ class ProtocolResult:
         recs = [r for r in self.records if r.model == model_kind]
         if not recs or not self.chains:
             raise ValueError(f"no stored runs for {model_kind!r}")
-        best = min(recs, key=lambda r: (-r.val_accuracy, r.run_id))
+        best = min(recs, key=_validation_rank)
         return self.chains[(model_kind, best.run_id)]
+
+
+def _validation_rank(record):
+    """Top-K sort key: highest validation accuracy first, ties to the lower run id."""
+    return (-record.val_accuracy, record.run_id)
 
 
 def derive_seed(master_seed, *key):
@@ -230,30 +235,11 @@ def summarize_records(records, config):
         recs = [r for r in records if r.model == model_kind]
         if not recs:
             continue
-        accs = np.array([r.test_accuracy for r in recs]) * 100.0
-        rows.append(
-            StatRow(
-                model_kind,
-                config.experiment,
-                config.noise_a,
-                STAT_ALL,
-                float(accs.mean()),
-                float(accs.std()),
-            )
-        )
-        k = min(config.top_k, len(recs))
-        top = sorted(recs, key=lambda r: (-r.val_accuracy, r.run_id))[:k]
-        top_accs = np.array([r.test_accuracy for r in top]) * 100.0
-        rows.append(
-            StatRow(
-                model_kind,
-                config.experiment,
-                config.noise_a,
-                STAT_TOP,
-                float(top_accs.mean()),
-                float(top_accs.std()),
-            )
-        )
+        top = sorted(recs, key=_validation_rank)[: config.top_k]
+        for stat, group in ((STAT_ALL, recs), (STAT_TOP, top)):
+            accs = np.array([r.test_accuracy for r in group]) * 100.0
+            rows.append(StatRow(model_kind, config.experiment, config.noise_a, stat,
+                                float(accs.mean()), float(accs.std())))
     return rows
 
 

@@ -1,7 +1,7 @@
 """The three reference architectures and their model-level operations.
 
-All models map a 4-point 3D shape to 8 class logits (softmax applied by the
-loss or by :func:`predict`):
+All models map a batch of 4-point 3D shapes, (batch, 4, 3), to (batch, 8)
+class logits (softmax applied by the loss or by :func:`predict`):
 
 * ``mlp``   - Dense(12 -> 6, bias, ReLU) -> Dense(6 -> 8, bias); 134 params.
 * ``mlhp``  - flatten to 12, lift to 14 -> linear(14 -> 5) -> lift to 7
@@ -107,16 +107,14 @@ def transform_mlgp_weights(model, motion):
 
 
 def predict(model, points):
-    """Class labels and softmax probabilities for one shape or a batch.
+    """Class labels (batch,) and softmax probabilities (batch, 8) of shapes.
 
-    Argmax ties resolve to the lowest label index.
+    ``points`` is a (batch, 4, 3) batch.  Argmax ties resolve to the lowest
+    label index.
     """
     logits, _ = forward(model, points)
     probs = softmax(logits)
-    labels = np.argmax(probs, axis=-1)
-    if probs.ndim == 1:
-        return int(labels), probs
-    return labels, probs
+    return np.argmax(probs, axis=1), probs
 
 
 def accuracy(model, points, labels):

@@ -7,7 +7,8 @@ Every layer computes ``activation(W @ lift(x, group))`` with the conformal
 lift of :mod:`mlgp.conformal`.  The layer kinds differ only in ``group``:
 ``dense`` has 0 (no lift; a bias instead), ``geometric`` has 3 (each 3D
 point becomes a 5-dim block), and ``hypersphere`` has the input width m
-(the whole input becomes one (m+2)-dim point).  The lift is parameter-free
+(the whole input becomes one (m+2)-dim point).  ``activation`` is ReLU
+for mlp's hidden layer and the identity elsewhere.  The lift is parameter-free
 but nonlinear, so the backward pass routes gradients through its adjoint,
 ``lift_grad``.  Everything is float64 and vectorized over a batch axis.
 
@@ -25,24 +26,6 @@ from .conformal import lift, lift_grad
 DENSE = "dense"
 GEOMETRIC = "geometric"
 HYPERSPHERE = "hypersphere"
-
-
-def apply_activation(name, z):
-    if name == "identity":
-        return z
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def activation_derivative(name, z):
-    """Elementwise f'(z)."""
-    if name == "identity":
-        return np.ones_like(z)
-    if name == "relu":
-        # subgradient at 0 is 0
-        return (z > 0.0).astype(float)
-    raise ValueError(f"unknown activation {name!r}")
 
 
 class Layer:
@@ -85,10 +68,8 @@ class LayerTrace:
 
 
 def _features(points, layer):
-    """(m, batch) view of (batch, ...) or one sample's input to ``layer``."""
+    """(m, batch) view of the (batch, ...) input to ``layer``."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 2:
-        pts = pts[None]
     x = pts.reshape(len(pts), -1).T
     if len(x) != layer.pre_embed_dim:
         raise ValueError(f"{layer.kind} layer expects {layer.pre_embed_dim} inputs, got {len(x)}")
@@ -96,7 +77,7 @@ def _features(points, layer):
 
 
 def embed_input(layer, points):
-    """First-layer feature lift of raw (4, 3)-style inputs, (batch, in_dim).
+    """First-layer feature lift of a (batch, 4, 3) input, (batch, in_dim).
 
     Parameter-free, so training loops may compute it once per dataset and
     pass it to :func:`forward` as ``first_embedded``.
@@ -105,12 +86,12 @@ def embed_input(layer, points):
 
 
 def forward(model, points, first_embedded=None):
-    """Run a model on one sample (4, 3) or a batch (batch, 4, 3).
+    """Run a model on a batch of shapes, (batch, 4, 3).
 
-    Returns ``(logits, trace)``: (8,) or (batch, 8) logits and a list of
-    LayerTrace, whose arrays are (features, batch) even for a single sample.
+    Returns ``(logits, trace)``: (batch, 8) logits and a list of LayerTrace,
+    whose arrays are (features, batch).  One shape is a batch of one; a bare
+    (4, 3) shape raises ValueError.
     """
-    single = np.ndim(points) == 2
     x = _features(points, model.layers[0])
     trace = []
     for i, layer in enumerate(model.layers):
@@ -122,14 +103,14 @@ def forward(model, points, first_embedded=None):
         if layer.b is not None:
             pre_act += layer.b[:, None]
         trace.append(LayerTrace(pre_embed, embedded, pre_act))
-        x = apply_activation(layer.activation, pre_act)
-    return (x[:, 0] if single else x.T), trace
+        x = np.maximum(pre_act, 0.0) if layer.activation == "relu" else pre_act
+    return x.T, trace
 
 
 def backward(model, trace, d_logits):
     """Exact gradient of the loss with respect to ``model.theta``.
 
-    ``d_logits`` is (8,) or (batch, 8), like the logits.  Returns one vector
+    ``d_logits`` is (batch, 8), like the logits.  Returns one vector
     in ``theta``'s layout: layer by layer, the row-major weight gradient,
     then a dense layer's bias gradient.  The lift of the raw model input
     carries no parameters, so no gradient is propagated past the first layer.
@@ -138,10 +119,8 @@ def backward(model, trace, d_logits):
     parts = []
     for i in range(len(model.layers) - 1, -1, -1):
         layer, t = model.layers[i], trace[i]
-        if layer.activation == "identity":
-            dz = d
-        else:
-            dz = d * activation_derivative(layer.activation, t.pre_act)
+        # the ReLU subgradient at 0 is 0
+        dz = d * (t.pre_act > 0.0) if layer.activation == "relu" else d
         if layer.b is not None:
             parts.append(dz.sum(axis=1))
         parts.append((dz @ t.embedded.T).ravel())
@@ -152,34 +131,34 @@ def backward(model, trace, d_logits):
 
 def _class_major(values):
     """C-contiguous (8, batch), so class sums add in one order for any layout."""
-    return np.ascontiguousarray(np.atleast_2d(np.asarray(values, dtype=float)).T)
+    return np.ascontiguousarray(np.asarray(values, dtype=float).T)
 
 
 def softmax(logits):
-    """Softmax over the last axis of (8,) or (batch, 8) logits."""
+    """Softmax over the classes of (batch, 8) logits."""
     z = _class_major(logits)
     p = np.exp(z - z.max(axis=0))
     p /= p.sum(axis=0)
-    return p[:, 0] if np.ndim(logits) == 1 else p.T
+    return p.T
 
 
 def softmax_cross_entropy(logits, labels):
-    """Cross-entropy loss and its gradient with respect to the logits.
+    """Mean cross-entropy of (batch, 8) logits and its gradient.
 
-    For a single (8,) logit vector and integer label, returns the loss and
-    ``softmax - onehot``.  For a batch, returns the mean loss and the
-    gradient of that mean (per-sample terms divided by the batch size).
+    ``labels`` is a (batch,) vector of integers in 0..7.  Returns the mean
+    loss over the batch and its (batch, 8) gradient with respect to the
+    logits, ``(softmax - onehot) / batch``.
     """
     z = _class_major(logits)
     n = z.shape[1]
     log_probs = z - z.max(axis=0)
     log_probs -= np.log(np.exp(log_probs).sum(axis=0))
-    picked = np.ravel_multi_index((np.atleast_1d(labels), np.arange(n)), z.shape)
+    picked = np.ravel_multi_index((labels, np.arange(n)), z.shape)
     loss = float(-log_probs.take(picked).sum() / n)
     d = np.exp(log_probs, out=log_probs)
     d.put(picked, d.take(picked) - 1.0)
     d /= n
-    return loss, (d[:, 0] if np.ndim(logits) == 1 else d.T)
+    return loss, d.T
 
 
 # added to the root of the second-moment estimate (Kingma & Ba's value)

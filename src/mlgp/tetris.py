@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformal import RigidMotion, random_rotation, rotation_about_axis
+from .conformal import RigidMotion, rotation_about_axis
 
 TWO_PI = 2.0 * np.pi
 
@@ -77,49 +77,61 @@ def canonical_shapes():
     return _CANONICAL.copy()
 
 
-def _check_intervals(intervals):
-    intervals = tuple((float(lo), float(hi)) for lo, hi in intervals)
-    if not intervals:
-        raise ValueError("angle interval union is empty")
-    for lo, hi in intervals:
-        if not (0.0 <= lo <= hi <= TWO_PI):
-            raise ValueError(f"bad angle interval [{lo}, {hi})")
-    return intervals
-
-
-def sample_angle(rng, intervals):
-    """Draw an angle uniformly from a union of half-open intervals.
-
-    An interval is chosen with probability proportional to its length, then
-    the angle is drawn uniformly within it.  A union of zero total length is
-    allowed and returns one of the interval endpoints.
-    """
-    intervals = _check_intervals(intervals)
-    lengths = np.array([hi - lo for lo, hi in intervals])
-    total = lengths.sum()
-    if total == 0.0:
-        lo, _ = intervals[rng.integers(len(intervals))]
-        return lo
-    pick = rng.random() * total
-    idx = int(np.searchsorted(np.cumsum(lengths), pick, side="right"))
-    lo, hi = intervals[min(idx, len(intervals) - 1)]
-    return rng.uniform(lo, hi)
-
-
-def sample_motion(rng, angle_intervals=MAIN_ANGLES):
-    """Random rigid motion: axis-uniform rotation plus a cube translation.
-
-    The rotation angle is uniform over the interval union; each translation
-    component is i.i.d. uniform in (-T_RANGE, T_RANGE).
-    """
-    rotation = random_rotation(rng, lambda r: sample_angle(r, angle_intervals))
-    translation = rng.uniform(-T_RANGE, T_RANGE, 3)
-    return RigidMotion(rotation, translation)
-
-
 def _uniform(lo, hi, u):
     """``Generator.uniform(lo, hi)`` for the ``random()`` draw u, bit for bit."""
     return lo + (hi - lo) * u
+
+
+def _draw_motions(rng, kind, n, noise_a):
+    """Draw n rigid motions of dataset ``kind`` and, if ``noise_a > 0``, their noise.
+
+    Returns (n, 3, 3) rotations, (n, 3) shifts and (n, 4, 3) noise or None;
+    an unknown ``kind`` raises ValueError.  The draws are a contract.  Motion
+    by motion, ``rng`` gives the rotation axis (``standard_normal(3)``,
+    redrawn while its norm is at most 1e-12), the angle-interval pick
+    (``random()`` times the union's length), the angle (``uniform(lo, hi)``),
+    the translation (``uniform(-T_RANGE, T_RANGE, 3)``) and, when
+    ``noise_a > 0``, the noise (``uniform(-noise_a, noise_a, (4, 3))``); the
+    rotation is ``rotation_about_axis(axis / norm(axis), angle)``.  Drawing
+    a motion's uniforms with one ``random(k)`` call changes no value.
+    """
+    if kind not in DATASET_ANGLES:
+        raise ValueError(f"unknown dataset kind {kind!r}")
+    bounds = np.array(DATASET_ANGLES[kind])
+    lengths = bounds[:, 1] - bounds[:, 0]
+    total, ends = lengths.sum(), np.cumsum(lengths)
+    # per motion: interval pick, angle, 3 translation and 0 or 12 noise uniforms
+    n_uniform = 5 + (POINTS_PER_SHAPE * 3 if noise_a > 0.0 else 0)
+    normal, random = rng.standard_normal, rng.random
+    axes = np.empty((n, 3))
+    u = np.empty((n, n_uniform))
+    norms = []
+    for axis, draws in zip(axes, u):
+        normal(out=axis)
+        # sqrt(axis @ axis) is the norm np.linalg.norm takes of one vector
+        while (norm := math.sqrt(axis.dot(axis))) <= 1e-12:
+            normal(out=axis)
+        norms.append(norm)
+        random(out=draws)
+    axes /= np.array(norms)[:, None]
+    pick = np.searchsorted(ends, u[:, 0] * total, side="right")
+    lo, hi = bounds[np.minimum(pick, len(bounds) - 1)].T
+    rotations = rotation_about_axis(axes, _uniform(lo, hi, u[:, 1]))
+    shifts = _uniform(-T_RANGE, T_RANGE, u[:, 2:5])
+    if noise_a == 0.0:
+        return rotations, shifts, None
+    noise = _uniform(-noise_a, noise_a, u[:, 5:]).reshape(-1, POINTS_PER_SHAPE, 3)
+    return rotations, shifts, noise
+
+
+def sample_motion(rng, kind=MAIN):
+    """Random rigid motion of dataset ``kind``, drawn as by :func:`_draw_motions`.
+
+    An axis-uniform rotation by an angle uniform over the kind's angle union,
+    then a translation uniform in the cube (-T_RANGE, T_RANGE)^3.
+    """
+    rotations, shifts, _ = _draw_motions(rng, kind, 1, 0.0)
+    return RigidMotion(rotations[0], shifts[0])
 
 
 @dataclass
@@ -137,65 +149,32 @@ class LabeledShapeSet:
 def make_dataset(kind, size, noise_a=0.0, seed=0):
     """Generate a class-balanced dataset of rigidly moved canonical shapes.
 
-    Labels cycle 0..7, so per-class counts differ by at most one.  Noise, when
-    ``noise_a > 0``, is i.i.d. uniform in (-noise_a, noise_a) per coordinate
-    and is added after the rigid motion.  Identical arguments produce
-    bit-identical datasets.
-
-    The draws are a contract.  Sample by sample, ``default_rng(seed)`` gives
-    the rotation axis (``standard_normal(3)``, redrawn while its norm is at
-    most 1e-12), the angle-interval pick (``random()`` times the union's
-    length), the angle (``uniform(lo, hi)``), the translation
-    (``uniform(-T_RANGE, T_RANGE, 3)``) and, when ``noise_a > 0``, the noise
-    (``uniform(-noise_a, noise_a, (4, 3))``): each sample is
-    ``sample_motion(rng, DATASET_ANGLES[kind]).apply(shape)`` plus its noise.
-    The samples are drawn and moved in blocks of ``_BLOCK``, with one batched
-    rotation and matmul per block; neither the blocks nor drawing a sample's
-    uniforms with one ``random(k)`` call changes the output.
+    Labels cycle 0..7, so per-class counts differ by at most one.  Sample i is
+    shape ``i % 8`` moved by the i-th motion :func:`_draw_motions` draws from
+    ``default_rng(seed)``, plus that motion's noise when ``noise_a > 0``:
+    i.i.d. uniform in (-noise_a, noise_a) per coordinate.  Identical arguments
+    give bit-identical datasets.
     """
-    if kind not in DATASET_ANGLES:
-        raise ValueError(f"unknown dataset kind {kind!r}")
     if size < NUM_CLASSES:
         raise ValueError(f"size must be at least {NUM_CLASSES}")
     if not (noise_a >= 0.0 and np.isfinite(2.0 * noise_a)):  # the width of (-a, a)
         raise ValueError(f"noise amplitude must be nonnegative with 2a finite, got {noise_a}")
-    intervals = DATASET_ANGLES[kind]
-    bounds = np.array(intervals)
-    lengths = bounds[:, 1] - bounds[:, 0]
-    total, ends = lengths.sum(), np.cumsum(lengths)
     a = float(noise_a)
-    # per sample: interval pick, angle, 3 translation and 0 or 12 noise uniforms
-    n_uniform = 5 + (POINTS_PER_SHAPE * 3 if a > 0.0 else 0)
     rng = np.random.default_rng(seed)
-    normal, random = rng.standard_normal, rng.random
     labels = np.arange(size, dtype=np.int64) % NUM_CLASSES
     points = np.empty((size, POINTS_PER_SHAPE, 3))
     for start in range(0, size, _BLOCK):
         stop = min(start + _BLOCK, size)
-        axes = np.empty((stop - start, 3))
-        u = np.empty((stop - start, n_uniform))
-        norms = []
-        for axis, draws in zip(axes, u):
-            normal(out=axis)
-            # sqrt(axis @ axis) is the norm np.linalg.norm takes of one vector
-            while (norm := math.sqrt(axis.dot(axis))) <= 1e-12:
-                normal(out=axis)
-            norms.append(norm)
-            random(out=draws)
-        axes /= np.array(norms)[:, None]
-        pick = np.searchsorted(ends, u[:, 0] * total, side="right")
-        lo, hi = bounds[np.minimum(pick, len(bounds) - 1)].T
-        rot = rotation_about_axis(axes, _uniform(lo, hi, u[:, 1]))
-        shift = _uniform(-T_RANGE, T_RANGE, u[:, 2:5])
+        rot, shift, noise = _draw_motions(rng, kind, stop - start, a)
         shapes = _CANONICAL[labels[start:stop]]
         points[start:stop] = shapes @ rot.transpose(0, 2, 1) + shift[:, None, :]
-        if a > 0.0:
-            points[start:stop] += _uniform(-a, a, u[:, 5:]).reshape(-1, POINTS_PER_SHAPE, 3)
+        if noise is not None:
+            points[start:stop] += noise
     meta = {
         "seed": int(seed),
         "kind": kind,
         "noise_a": float(noise_a),
-        "angle_intervals": intervals,
+        "angle_intervals": DATASET_ANGLES[kind],
         "t_range": T_RANGE,
     }
     return LabeledShapeSet(points, labels, meta)

@@ -22,7 +22,7 @@ from mlgp.conformal import (
     lift,
     motor_matrix_point,
     motor_matrix_sphere,
-    random_rotation,
+    rotation_about_axis,
     sphere_from_center_radius,
 )
 from mlgp.experiment import (
@@ -46,7 +46,8 @@ def report(capsys, num, passed, detail):
 
 
 def random_motion(rng, t_range=3.0):
-    rot = random_rotation(rng, lambda r: r.uniform(0.0, 2.0 * np.pi))
+    axis = rng.standard_normal(3)
+    rot = rotation_about_axis(axis / np.linalg.norm(axis), rng.uniform(0.0, 2.0 * np.pi))
     return RigidMotion(rot, rng.uniform(-t_range, t_range, 3))
 
 

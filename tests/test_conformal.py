@@ -15,14 +15,14 @@ from mlgp.conformal import (
     motor_matrix_point,
     motor_matrix_sphere,
     point_normalize,
-    random_rotation,
     rotation_about_axis,
     sphere_from_center_radius,
 )
 
 
 def random_motion(rng, t_range=3.0):
-    rot = random_rotation(rng, lambda r: r.uniform(0.0, 2.0 * np.pi))
+    axis = rng.standard_normal(3)
+    rot = rotation_about_axis(axis / np.linalg.norm(axis), rng.uniform(0.0, 2.0 * np.pi))
     return RigidMotion(rot, rng.uniform(-t_range, t_range, 3))
 
 
@@ -217,18 +217,16 @@ def test_rotation_about_axis_stacks_bit_for_bit():
             rotation_about_axis(flat, angles.ravel())
 
 
-def test_random_rotation_draws_axis_then_angle():
+def test_rigid_motion_applies_a_stack_as_its_shapes_one_at_a_time():
+    # one matmul over every point of the stack rounds as the per-shape ones do
     rng = np.random.default_rng(6)
-    for _ in range(50):
-        r = random_rotation(rng, lambda g: g.uniform(0, 2 * np.pi))
-        assert np.allclose(r.T @ r, np.eye(3), atol=1e-14)
-        assert abs(np.linalg.det(r) - 1.0) <= 1e-14
-    # the axis is one normalized standard_normal(3) draw, then the angle
-    ref = np.random.default_rng(7)
-    axis = ref.standard_normal(3)
-    want = rotation_about_axis(axis / np.linalg.norm(axis), ref.uniform(0, 2 * np.pi))
-    r = random_rotation(np.random.default_rng(7), lambda g: g.uniform(0, 2 * np.pi))
-    assert np.array_equal(r, want)
+    for n in (1, 7, 2000):
+        motion = random_motion(rng)
+        shapes = rng.uniform(-3, 3, (n, 4, 3))
+        moved = motion.apply(shapes)
+        assert moved.shape == shapes.shape
+        for i in range(n):
+            assert np.array_equal(moved[i], motion.apply(shapes[i]))
 
 
 def test_motor_adjoint_law():

@@ -56,10 +56,13 @@ def test_config_validation():
         ProtocolConfig(experiment="nope")
     with pytest.raises(ValueError):
         ProtocolConfig(models=("mlp", "nope"))
-    with pytest.raises(ValueError):
-        ProtocolConfig(runs=0)
-    with pytest.raises(ValueError):
-        ProtocolConfig(top_k=0)
+    # each count is an integer with a floor; the split sizes need all 8 classes
+    for name, bad in (("runs", 0), ("runs", 1.5), ("epochs", -1), ("epochs", 2.5),
+                      ("top_k", 0), ("top_k", 2.5), ("train_size", 4), ("train_size", 64.0),
+                      ("val_size", 7), ("val_size", 2.5), ("test_size", 4), ("test_size", "64")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
+            ProtocolConfig(**{name: bad})
+    ProtocolConfig(runs=np.int64(1), epochs=0, top_k=1, train_size=8, val_size=8, test_size=8)
     for kinds in ((), ("mlp", "mlp"), ("mlgp", "mlp", "mlgp")):
         with pytest.raises(ValueError, match="models"):
             ProtocolConfig(models=kinds)

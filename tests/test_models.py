@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mlgp.conformal import RigidMotion, random_rotation
+from mlgp.conformal import RigidMotion, rotation_about_axis
 from mlgp.models import (
     MODEL_KINDS,
     Model,
@@ -21,7 +21,8 @@ from mlgp.nn import forward
 
 
 def random_motion(rng, t_range=3.0):
-    rot = random_rotation(rng, lambda r: r.uniform(0.0, 2.0 * np.pi))
+    axis = rng.standard_normal(3)
+    rot = rotation_about_axis(axis / np.linalg.norm(axis), rng.uniform(0.0, 2.0 * np.pi))
     return RigidMotion(rot, rng.uniform(-t_range, t_range, 3))
 
 
@@ -54,9 +55,9 @@ def test_build_model_structure():
 
 
 def test_predict_untrained_uniform():
-    label, probs = predict(build_model("mlgp"), np.zeros((4, 3)))
-    assert label == 0
-    assert np.allclose(probs, 1.0 / 8.0, atol=1e-15)
+    labels, probs = predict(build_model("mlgp"), np.zeros((1, 4, 3)))
+    assert np.array_equal(labels, [0])
+    assert probs.shape == (1, 8) and np.allclose(probs, 1.0 / 8.0, atol=1e-15)
     rng = np.random.default_rng(0)
     labels, probs = predict(build_model("mlp", rng), rng.uniform(-3, 3, (6, 4, 3)))
     assert labels.shape == (6,)

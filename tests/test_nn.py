@@ -8,8 +8,6 @@ from mlgp.experiment import fit
 from mlgp.models import MODEL_KINDS, Model, build_model
 from mlgp.nn import (
     Adam,
-    activation_derivative,
-    apply_activation,
     backward,
     embed_input,
     forward,
@@ -103,7 +101,7 @@ def test_geometric_unit_from_planted_spheres():
         pts = rng.uniform(-3, 3, (4, 3))
         model = build_model("mlgp")
         model.layers[0].w[0] = w
-        _, trace = forward(model, pts)
+        _, trace = forward(model, pts[None])
         want = sum(
             g * (-0.5 * np.sum((p - c) ** 2) + 0.5 * r * r)
             for g, c, r, p in zip(gammas, centers, radii, pts)
@@ -114,16 +112,18 @@ def test_geometric_unit_from_planted_spheres():
 
 def test_forward_zero_weights_and_shapes():
     model = build_model("mlgp")
-    pts = np.random.default_rng(5).uniform(-3, 3, (4, 3))
+    pts = np.random.default_rng(5).uniform(-3, 3, (1, 4, 3))
     logits, trace = forward(model, pts)
-    assert np.array_equal(logits, np.zeros(8))
+    assert np.array_equal(logits, np.zeros((1, 8)))
     assert len(trace) == 2
     # the trace is feature-major: (in_dim, batch) and (out_dim, batch)
     assert trace[0].embedded.shape == (20, 1)
     assert trace[0].pre_act.shape == (4, 1)
     assert trace[1].pre_embed.shape == (4, 1)
-    with pytest.raises(ValueError):
-        forward(model, np.zeros((5, 3)))
+    # one bare (4, 3) shape is not a batch; nor is a (5, 3) one
+    for bad in (pts[0], np.zeros((5, 3))):
+        with pytest.raises(ValueError, match="expects 12 inputs"):
+            forward(model, bad)
 
 
 def test_forward_matches_direct_matrix_evaluation():
@@ -131,11 +131,11 @@ def test_forward_matches_direct_matrix_evaluation():
     rng = np.random.default_rng(6)
     model = build_model("mlgp", rng)
     pts = rng.uniform(-3, 3, (4, 3))
-    logits, _ = forward(model, pts)
+    logits, _ = forward(model, pts[None])
     first, second = model.layers
     h = first.w @ lift_points(pts)
     want = second.w @ embed_point(h)
-    assert np.allclose(logits, want, atol=1e-12)
+    assert np.allclose(logits[0], want, atol=1e-12)
 
 
 def test_forward_batch_matches_single():
@@ -145,8 +145,8 @@ def test_forward_batch_matches_single():
         batch = rng.uniform(-3, 3, (5, 4, 3))
         logits, _ = forward(model, batch)
         for i in range(5):
-            single, _ = forward(model, batch[i])
-            assert np.allclose(logits[i], single, atol=1e-12)
+            single, _ = forward(model, batch[i : i + 1])
+            assert np.allclose(logits[i], single[0], atol=1e-12)
 
 
 def test_forward_with_precomputed_embedding():
@@ -167,28 +167,32 @@ def test_dense_forward_matches_manual():
     x = pts.reshape(-1)
     h = np.maximum(first.w @ x + first.b, 0.0)
     want = second.w @ h + second.b
-    logits, _ = forward(model, pts)
-    assert np.allclose(logits, want, atol=1e-12)
+    logits, _ = forward(model, pts[None])
+    assert np.allclose(logits[0], want, atol=1e-12)
 
 
 def test_activations():
-    z = np.linspace(-2, 2, 9)
-    assert np.array_equal(apply_activation("identity", z), z)
-    assert np.array_equal(activation_derivative("identity", z), np.ones(9))
-    assert np.array_equal(apply_activation("relu", z), np.maximum(z, 0))
-    assert np.array_equal(activation_derivative("relu", z), (z > 0).astype(float))
-    # relu subgradient at exactly 0 is 0
-    assert np.array_equal(activation_derivative("relu", np.zeros(3)), np.zeros(3))
-    with pytest.raises(ValueError):
-        apply_activation("nope", z)
-    with pytest.raises(ValueError):
-        activation_derivative("nope", z)
+    # mlp's hidden ReLU passes positive pre-activations, zeroes the rest,
+    # and its subgradient at exactly 0 is 0; the output layer is the identity
+    model = build_model("mlp", np.random.default_rng(26))
+    first, second = model.layers
+    first.w[:] = 0.0
+    first.b[:] = [-1.0, 0.0, 2.0, 0.0, 0.5, -0.0]
+    pts = np.random.default_rng(27).uniform(-3, 3, (3, 4, 3))
+    logits, trace = forward(model, pts)
+    hidden = np.array([0.0, 0.0, 2.0, 0.0, 0.5, 0.0])
+    assert np.array_equal(trace[1].pre_embed, np.tile(hidden[:, None], 3))
+    assert np.array_equal(logits, trace[1].pre_act.T)
+    grads = Model("mlp", backward(model, trace, np.ones((3, 8)))).layers
+    live = first.b > 0.0
+    assert not grads[0].w[~live].any() and not grads[0].b[~live].any()
+    assert np.allclose(grads[0].b[live], 3.0 * second.w.sum(axis=0)[live], rtol=1e-12)
 
 
 def test_softmax_is_probability_vector():
     rng = np.random.default_rng(10)
     for _ in range(100):
-        p = softmax(rng.uniform(-20, 20, 8))
+        p = softmax(rng.uniform(-20, 20, (1, 8)))
         assert np.all(p >= 0)
         assert abs(p.sum() - 1.0) <= 1e-12
     # batch form normalizes each row
@@ -197,16 +201,16 @@ def test_softmax_is_probability_vector():
 
 
 def test_cross_entropy_examples():
-    loss, d = softmax_cross_entropy(np.zeros(8), 3)
+    loss, d = softmax_cross_entropy(np.zeros((1, 8)), [3])
     assert abs(loss - np.log(8)) <= 1e-12
     assert abs(d.sum()) <= 1e-12
     # a huge correct-class margin drives the loss to zero
-    z = np.zeros(8)
-    z[2] = 100.0
-    loss, _ = softmax_cross_entropy(z, 2)
+    z = np.zeros((1, 8))
+    z[0, 2] = 100.0
+    loss, _ = softmax_cross_entropy(z, [2])
     assert loss <= 1e-12
     # extreme logits stay finite
-    loss, d = softmax_cross_entropy(np.array([1e4, 0, 0, 0, 0, 0, 0, -1e4]), 0)
+    loss, d = softmax_cross_entropy(np.array([[1e4, 0, 0, 0, 0, 0, 0, -1e4]]), [0])
     assert np.isfinite(loss) and np.all(np.isfinite(d))
     # a label outside 0..7 is an error, not a wrapped index
     for bad in ([0, 8], [-1, 0]):
@@ -219,10 +223,10 @@ def test_cross_entropy_batch_matches_singles():
     logits = rng.uniform(-3, 3, (6, 8))
     labels = rng.integers(0, 8, 6)
     loss, d = softmax_cross_entropy(logits, labels)
-    singles = [softmax_cross_entropy(logits[i], labels[i]) for i in range(6)]
+    singles = [softmax_cross_entropy(logits[i : i + 1], labels[i : i + 1]) for i in range(6)]
     assert abs(loss - np.mean([s[0] for s in singles])) <= 1e-12
     for i in range(6):
-        assert np.allclose(d[i], singles[i][1] / 6.0, atol=1e-12)
+        assert np.allclose(d[i], singles[i][1][0] / 6.0, atol=1e-12)
 
 
 def finite_difference_check(kind, seed, batch=4, h=1e-6, tol=1e-5):
@@ -287,10 +291,11 @@ def test_dense_backward_matches_textbook_formulas():
     first, second = model.layers
     pts = rng.uniform(-3, 3, (4, 3))
     x = pts.reshape(-1)
-    logits, trace = forward(model, pts)
-    _, dy = softmax_cross_entropy(logits, 5)
+    logits, trace = forward(model, pts[None])
+    _, dys = softmax_cross_entropy(logits, [5])
     # read the gradient vector through the same layer views as theta
-    grads = Model("mlp", backward(model, trace, dy)).layers
+    grads = Model("mlp", backward(model, trace, dys)).layers
+    dy = dys[0]
 
     z1 = first.w @ x + first.b
     h = np.maximum(z1, 0.0)

@@ -5,12 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
+from mlgp.conformal import RigidMotion, rotation_about_axis
 from mlgp.tetris import (
     _CANONICAL,
     DATASET_ANGLES,
     DATASET_HEADER,
     MAIN,
-    MAIN_ANGLES,
     NUM_CLASSES,
     POINTS_PER_SHAPE,
     SHAPE_NAMES,
@@ -22,7 +22,6 @@ from mlgp.tetris import (
     canonical_shapes,
     load_dataset,
     make_dataset,
-    sample_angle,
     sample_motion,
     save_dataset,
 )
@@ -90,34 +89,50 @@ def test_chiral_pair_differs_only_by_reflection():
             assert best > 0.2
 
 
-def in_union(theta, intervals):
-    return any(lo <= theta < hi or theta == hi for lo, hi in intervals)
+def rotation_angles(motions):
+    """Rotation angle in [0, pi] of each motion, from the trace of its matrix."""
+    traces = np.array([np.trace(m.rotation) for m in motions])
+    return np.arccos(np.clip((traces - 1.0) / 2.0, -1.0, 1.0))
+
+
+def in_folded_union(theta, intervals):
+    """Whether a turn by theta in [0, pi] can come from an angle in the union.
+
+    A turn by phi in [pi, 2pi) is a turn by 2pi - phi about the opposite axis.
+    """
+    return any(
+        lo - 1e-9 <= angle <= hi + 1e-9
+        for lo, hi in intervals
+        for angle in (theta, 2 * np.pi - theta)
+    )
 
 
 def test_sample_angle_respects_intervals():
+    # folded, theta_train is [0, pi/4] and [3pi/4, pi]: it never turns in between
     rng = np.random.default_rng(20)
-    for intervals in (MAIN_ANGLES, THETA_TRAIN_ANGLES, THETA_EVAL_ANGLES):
-        for _ in range(500):
-            theta = sample_angle(rng, intervals)
-            assert in_union(theta, intervals)
+    for kind, intervals in DATASET_ANGLES.items():
+        angles = rotation_angles(sample_motion(rng, kind) for _ in range(500))
+        assert all(in_folded_union(theta, intervals) for theta in angles)
+    # the main kind does turn into that gap, so the check above can fail
+    main = rotation_angles(sample_motion(rng) for _ in range(400))
+    assert not all(in_folded_union(theta, THETA_TRAIN_ANGLES) for theta in main)
 
 
 def test_sample_angle_weights_by_length():
-    # second theta-eval interval covers 3pi/4 of the 3pi/2 total
+    # both theta_train intervals are pi/4 long, so each side holds about half
     rng = np.random.default_rng(21)
-    draws = np.array([sample_angle(rng, THETA_EVAL_ANGLES) for _ in range(4000)])
-    frac = np.mean(draws >= THETA_EVAL_ANGLES[1][0])
-    assert abs(frac - 0.5) < 0.05
+    angles = rotation_angles(sample_motion(rng, THETA_TRAIN) for _ in range(4000))
+    low = angles <= np.pi / 4 + 1e-9
+    assert np.all(low | (angles >= 3 * np.pi / 4 - 1e-9))
+    assert abs(np.mean(low) - 0.5) < 0.05
 
 
 def test_sample_angle_validation():
+    # the angles come from a dataset kind; a raw interval union is not one
     rng = np.random.default_rng(22)
-    with pytest.raises(ValueError):
-        sample_angle(rng, ())
-    with pytest.raises(ValueError):
-        sample_angle(rng, ((-1.0, 1.0),))
-    with pytest.raises(ValueError):
-        sample_angle(rng, ((2.0, 1.0),))
+    for kind in ("nope", THETA_TRAIN_ANGLES, ((0.0, 2 * np.pi),)):
+        with pytest.raises(ValueError, match="unknown dataset kind"):
+            sample_motion(rng, kind)
 
 
 def test_theta_split_intervals_are_disjoint():
@@ -164,11 +179,22 @@ def test_make_dataset_deterministic():
 
 
 def per_sample_dataset(kind, size, noise_a, seed):
-    """make_dataset's contract, one validated rigid motion per sample."""
+    """make_dataset's draw contract, written out one sample at a time."""
+    intervals = DATASET_ANGLES[kind]
+    lengths = [hi - lo for lo, hi in intervals]
     rng = np.random.default_rng(seed)
     points = []
     for i in range(size):
-        sample = sample_motion(rng, DATASET_ANGLES[kind]).apply(_CANONICAL[i % NUM_CLASSES])
+        axis = rng.standard_normal(3)
+        while np.linalg.norm(axis) <= 1e-12:
+            axis = rng.standard_normal(3)
+        axis = axis / np.linalg.norm(axis)
+        pick = rng.random() * sum(lengths)
+        idx = int(np.searchsorted(np.cumsum(lengths), pick, side="right"))
+        lo, hi = intervals[min(idx, len(intervals) - 1)]
+        rotation = rotation_about_axis(axis, rng.uniform(lo, hi))
+        motion = RigidMotion(rotation, rng.uniform(-T_RANGE, T_RANGE, 3))
+        sample = motion.apply(_CANONICAL[i % NUM_CLASSES])
         if noise_a > 0.0:
             sample = sample + rng.uniform(-noise_a, noise_a, (POINTS_PER_SHAPE, 3))
         points.append(sample)
