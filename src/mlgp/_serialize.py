@@ -1,9 +1,11 @@
-"""Key-tree text files whose floats survive a write/read cycle bit for bit.
+"""Text files whose floats survive a write/read cycle bit for bit.
 
-The layout is JSON, written and read by the standard library.  Python
-writes each float as the shortest decimal string that parses back to the
-same double, so reloads are bit-exact (-0.0 and subnormals included), and
-a non-finite float raises ValueError instead of producing invalid JSON.
+Every file the package writes or reads goes through here.  Python writes
+each float as the shortest decimal string that parses back to the same
+double, so reloads are bit-exact (-0.0 and subnormals included).  Key trees
+are JSON from the standard library, where a non-finite float raises
+ValueError instead of producing invalid JSON.  Tables are CSV: a header,
+then one line of comma-joined ``str`` values per row.
 """
 
 import json
@@ -25,3 +27,21 @@ def save(path, obj):
 
 def load(path):
     return json.loads(Path(path).read_text())
+
+
+def save_table(path, header, rows):
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def load_table(path, header):
+    """Yield the rows after an exact ``header`` as lists of strings, skipping blank lines."""
+    width = header.count(",") + 1
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") != header:
+            raise ValueError(f"{path}: expected the header {header!r}")
+        for row in (line.rstrip("\n").split(",") for line in fh if line.strip()):
+            if len(row) != width:
+                raise ValueError(f"{path}: expected {width} fields per row, got {len(row)}")
+            yield row

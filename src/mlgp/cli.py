@@ -9,13 +9,15 @@ Subcommands:
 * ``export-spheres`` - decision-sphere report from a trained checkpoint.
 
 Protocol and Adam flags take their defaults from
-:class:`mlgp.experiment.ProtocolConfig`, the reference protocol;
-``--desk-scale`` shrinks the protocol to 5 runs and a 10000-sample test
-set.  Exit status is nonzero when an invariant check fails.
+:class:`mlgp.experiment.ProtocolConfig`, the reference protocol, and each
+protocol flag stores to the field it sets; ``--desk-scale`` shrinks the
+protocol to 5 runs and a 10000-sample test set.  Exit status is nonzero
+when an invariant check fails.
 """
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -30,6 +32,10 @@ def _add_adam_flags(p):
     p.add_argument("--lr", type=float, default=_REFERENCE.lr)
     p.add_argument("--beta1", type=float, default=_REFERENCE.beta1)
     p.add_argument("--beta2", type=float, default=_REFERENCE.beta2)
+
+
+def _model_list(text):
+    return tuple(k.strip() for k in text.split(",") if k.strip())
 
 
 def build_parser():
@@ -59,9 +65,10 @@ def build_parser():
     p.add_argument(
         "--experiment", choices=experiment.EXPERIMENT_KINDS, default=_REFERENCE.experiment
     )
-    p.add_argument("--noise", type=float, default=_REFERENCE.noise_a)
+    p.add_argument("--noise", dest="noise_a", type=float, default=_REFERENCE.noise_a)
     p.add_argument(
         "--models",
+        type=_model_list,
         default=",".join(_REFERENCE.models),
         help="comma-separated subset of mlp,mlhp,mlgp",
     )
@@ -71,7 +78,7 @@ def build_parser():
     p.add_argument("--val-size", type=int, default=_REFERENCE.val_size)
     p.add_argument("--test-size", type=int, default=_REFERENCE.test_size)
     p.add_argument("--top-k", type=int, default=_REFERENCE.top_k)
-    p.add_argument("--seed", type=int, default=_REFERENCE.master_seed, help="master seed")
+    p.add_argument("--seed", dest="master_seed", type=int, default=_REFERENCE.master_seed)
     p.add_argument(
         "--desk-scale",
         action="store_true",
@@ -130,22 +137,8 @@ def _cmd_train(args):
 
 
 def _cmd_protocol(args):
-    kinds = tuple(k.strip() for k in args.models.split(",") if k.strip())
-    config = experiment.ProtocolConfig(
-        experiment=args.experiment,
-        noise_a=args.noise,
-        models=kinds,
-        runs=args.runs,
-        epochs=args.epochs,
-        lr=args.lr,
-        beta1=args.beta1,
-        beta2=args.beta2,
-        train_size=args.train_size,
-        val_size=args.val_size,
-        test_size=args.test_size,
-        top_k=args.top_k,
-        master_seed=args.seed,
-    )
+    names = (f.name for f in fields(experiment.ProtocolConfig))
+    config = experiment.ProtocolConfig(**{name: getattr(args, name) for name in names})
     if args.desk_scale:
         config = config.desk_scale()
 

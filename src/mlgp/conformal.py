@@ -69,13 +69,13 @@ def lift(x, group):
     return out.reshape((-1,) + rest)
 
 
-def lift_grad(d_lifted, x, group):
-    """Pull a gradient on ``lift(x, group)`` back to a gradient on ``x``."""
+def lift_grad(d_lifted, lifted, group):
+    """Pull a gradient on ``lifted = lift(x, group)`` back to a gradient on ``x``."""
     if group == 0:
         return d_lifted
-    d = d_lifted.reshape((-1, group + 2) + x.shape[1:])
-    g = x.reshape((-1, group) + x.shape[1:])
-    return (d[:, :group] - d[:, group + 1 :] * g).reshape(x.shape)
+    d = d_lifted.reshape((-1, group + 2) + lifted.shape[1:])
+    g = lifted.reshape(d.shape)[:, :group]  # each lifted block starts with its x
+    return (d[:, :group] - d[:, group + 1 :] * g).reshape((-1,) + lifted.shape[1:])
 
 
 def embed_point(x):
@@ -136,16 +136,16 @@ def extract_center_radius_sq(sphere_vec):
     return c, float(c @ c - 2.0 * s[-2])
 
 
-def classify_point(point_vec, sphere_vec, tol=ON_SURFACE_TOL):
+def classify_point(point_vec, sphere_vec):
     """Locate a lifted point relative to a normalized sphere.
 
     Returns "inside", "on", or "outside" by the sign of the incidence
-    product, with an |dot| <= tol band mapped to "on".
+    product, with an |dot| <= ON_SURFACE_TOL band mapped to "on".
     """
     if not _is_normalized(sphere_vec):
         raise ValueError("sphere must be normalized (last component 1)")
     d = conformal_dot(point_vec, sphere_vec)
-    if abs(d) <= tol:
+    if abs(d) <= ON_SURFACE_TOL:
         return "on"
     return "inside" if d > 0.0 else "outside"
 

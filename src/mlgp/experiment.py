@@ -13,10 +13,9 @@ never share RNG streams and the records reproduce bit for bit (wall times
 excepted).
 """
 
-import csv
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -29,15 +28,13 @@ from .models import (
     build_model,
     transform_mlgp_weights,
 )
-from .nn import Adam, backward, embed_input, forward, softmax_cross_entropy
+from .nn import Adam, backward, check_adam_settings, embed_input, forward, softmax_cross_entropy
 from .tetris import make_dataset, sample_motion
 
 MAIN_EXPERIMENT = "main"
 THETA_EXPERIMENT = "theta"
 EXPERIMENT_KINDS = (MAIN_EXPERIMENT, THETA_EXPERIMENT)
 
-RECORDS_HEADER = "run_id,model,seed,val_accuracy,test_accuracy,wall_time"
-RESULTS_HEADER = "model,dataset,noise,stat,mean,std"
 STAT_ALL = "all_runs"
 STAT_TOP = "top_k"
 
@@ -80,6 +77,7 @@ class ProtocolConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        check_adam_settings(self.lr, self.beta1, self.beta2)
 
     def desk_scale(self):
         """Small-footprint variant: 5 runs, 10000-sample test set."""
@@ -120,20 +118,22 @@ class StatRow:
     std: float
 
 
+# the records and results tables have one column per field
+RECORDS_HEADER = ",".join(f.name for f in fields(RunRecord))
+RESULTS_HEADER = ",".join(f.name for f in fields(StatRow))
+
+
 @dataclass
 class ProtocolResult:
     config: ProtocolConfig
     records: list
     stats: list
-    chains: dict = field(default_factory=dict)
+    chains: dict
 
     def best_chain(self, model_kind):
-        """Trained model with the highest validation accuracy (kept runs)."""
-        recs = [r for r in self.records if r.model == model_kind]
-        if not recs or not self.chains:
-            raise ValueError(f"no stored runs for {model_kind!r}")
-        best = min(recs, key=_validation_rank)
-        return self.chains[(model_kind, best.run_id)]
+        """Trained model with the highest validation accuracy."""
+        recs = (r for r in self.records if r.model == model_kind)
+        return self.chains[(model_kind, min(recs, key=_validation_rank).run_id)]
 
 
 def _validation_rank(record):
@@ -238,16 +238,16 @@ def summarize_records(records, config):
         top = sorted(recs, key=_validation_rank)[: config.top_k]
         for stat, group in ((STAT_ALL, recs), (STAT_TOP, top)):
             accs = np.array([r.test_accuracy for r in group]) * 100.0
-            rows.append(StatRow(model_kind, config.experiment, config.noise_a, stat,
+            rows.append(StatRow(model_kind, config.experiment, float(config.noise_a), stat,
                                 float(accs.mean()), float(accs.std())))
     return rows
 
 
-def run_protocol(config, keep_models=False, progress=None):
+def run_protocol(config, progress=None):
     """Train every configured model for the configured number of runs.
 
-    ``progress(record)`` is called after each run.  With ``keep_models``
-    the trained models are retained, keyed by ``(model, run_id)``.
+    ``progress(record)`` is called after each run.  The trained models are
+    kept, keyed by ``(model, run_id)``.
     """
     test_set = make_test_set(config)
     records = []
@@ -256,55 +256,34 @@ def run_protocol(config, keep_models=False, progress=None):
         for run_id, seed in enumerate(run_seeds(config, model_kind)):
             model, record = train(config, model_kind, seed, test_set, run_id)
             records.append(record)
-            if keep_models:
-                chains[(model_kind, run_id)] = model
+            chains[(model_kind, run_id)] = model
             if progress is not None:
                 progress(record)
     stats = summarize_records(records, config)
     return ProtocolResult(config, records, stats, chains)
 
 
+def _load_rows(path, header, row_type):
+    """The rows of a table of ``row_type``, each column parsed by its field's type."""
+    types = [f.type for f in fields(row_type)]
+    rows = _serialize.load_table(path, header)
+    return [row_type(*(t(v) for t, v in zip(types, row))) for row in rows]
+
+
 def save_records(path, records):
-    with open(path, "w", newline="") as fh:
-        fh.write(RECORDS_HEADER + "\n")
-        for r in records:
-            fh.write(
-                f"{r.run_id},{r.model},{r.seed},"
-                f"{repr(r.val_accuracy)},{repr(r.test_accuracy)},"
-                f"{repr(r.wall_time)}\n"
-            )
+    _serialize.save_table(path, RECORDS_HEADER, map(astuple, records))
 
 
 def load_records(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or ",".join(rows[0]) != RECORDS_HEADER:
-        raise ValueError(f"bad records header in {path}")
-    return [
-        RunRecord(int(a), b, int(c), float(d), float(e), float(f))
-        for a, b, c, d, e, f in rows[1:]
-    ]
+    return _load_rows(path, RECORDS_HEADER, RunRecord)
 
 
 def save_results(path, stats):
-    with open(path, "w", newline="") as fh:
-        fh.write(RESULTS_HEADER + "\n")
-        for s in stats:
-            fh.write(
-                f"{s.model},{s.dataset},{repr(float(s.noise))},{s.stat},"
-                f"{repr(s.mean)},{repr(s.std)}\n"
-            )
+    _serialize.save_table(path, RESULTS_HEADER, map(astuple, stats))
 
 
 def load_results(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or ",".join(rows[0]) != RESULTS_HEADER:
-        raise ValueError(f"bad results header in {path}")
-    return [
-        StatRow(a, b, float(c), d, float(e), float(f))
-        for a, b, c, d, e, f in rows[1:]
-    ]
+    return _load_rows(path, RESULTS_HEADER, StatRow)
 
 
 COMBO_NAMES = (
@@ -374,6 +353,8 @@ def isometry_test(model, test_set, trials=100, seed=0):
 
 
 SPHERES_FORMAT = "mlgp-spheres-v1"
+SPHERE_KEYS = ("point_block", "gamma", "degenerate", "center", "radius_sq", "radius",
+               "imaginary_radius", "surface")
 
 
 def export_spheres(model, path=None):
@@ -393,30 +374,16 @@ def export_spheres(model, path=None):
         blocks = first.w[u].reshape(-1, first.group + 2)
         spheres = []
         for p, raw in enumerate(blocks):
-            entry = {"point_block": p, "gamma": float(raw[-1])}
             try:
                 normalized, gamma = point_normalize(raw)
             except DegenerateSphereError:
-                entry.update(
-                    degenerate=True,
-                    center=None,
-                    radius_sq=None,
-                    radius=None,
-                    imaginary_radius=False,
-                    surface=None,
-                )
-                spheres.append(entry)
-                continue
-            center, r_sq = extract_center_radius_sq(normalized)
-            entry.update(
-                degenerate=False,
-                center=[float(c) for c in center],
-                radius_sq=float(r_sq),
-                radius=float(np.sqrt(r_sq)) if r_sq >= 0.0 else None,
-                imaginary_radius=bool(r_sq < 0.0),
-                surface="I" if gamma > 0.0 else "O",
-            )
-            spheres.append(entry)
+                geometry = (True, None, None, None, False, None)
+            else:
+                center, r_sq = extract_center_radius_sq(normalized)
+                radius = float(np.sqrt(r_sq)) if r_sq >= 0.0 else None
+                geometry = (False, [float(c) for c in center], r_sq, radius,
+                            r_sq < 0.0, "I" if gamma > 0.0 else "O")
+            spheres.append(dict(zip(SPHERE_KEYS, (p, float(raw[-1]), *geometry))))
         units.append({"unit": u, "spheres": spheres})
     report = {"format": SPHERES_FORMAT, "units": units}
     if path is not None:

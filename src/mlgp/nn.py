@@ -62,9 +62,8 @@ class Layer:
 class LayerTrace:
     """Per-layer forward record: everything backward needs, feature-major."""
 
-    pre_embed: np.ndarray  # raw input (m, batch); None when precomputed
-    embedded: np.ndarray   # features the weights multiplied (in_dim, batch)
-    pre_act: np.ndarray    # (out_dim, batch)
+    embedded: np.ndarray  # features the weights multiplied (in_dim, batch)
+    pre_act: np.ndarray   # (out_dim, batch)
 
 
 def _features(points, layer):
@@ -92,17 +91,16 @@ def forward(model, points, first_embedded=None):
     whose arrays are (features, batch).  One shape is a batch of one; a bare
     (4, 3) shape raises ValueError.
     """
-    x = _features(points, model.layers[0])
+    if first_embedded is None:
+        first_embedded = embed_input(model.layers[0], points)
+    x = first_embedded.T
     trace = []
-    for i, layer in enumerate(model.layers):
-        if i == 0 and first_embedded is not None:
-            embedded, pre_embed = first_embedded.T, None
-        else:
-            embedded, pre_embed = lift(x, layer.group), x
+    for layer in model.layers:
+        embedded = lift(x, layer.group) if trace else x
         pre_act = layer.w @ embedded
         if layer.b is not None:
             pre_act += layer.b[:, None]
-        trace.append(LayerTrace(pre_embed, embedded, pre_act))
+        trace.append(LayerTrace(embedded, pre_act))
         x = np.maximum(pre_act, 0.0) if layer.activation == "relu" else pre_act
     return x.T, trace
 
@@ -125,7 +123,7 @@ def backward(model, trace, d_logits):
             parts.append(dz.sum(axis=1))
         parts.append((dz @ t.embedded.T).ravel())
         if i > 0:
-            d = lift_grad(layer.w.T @ dz, t.pre_embed, layer.group)
+            d = lift_grad(layer.w.T @ dz, t.embedded, layer.group)
     return np.concatenate(parts[::-1])
 
 
@@ -165,15 +163,20 @@ def softmax_cross_entropy(logits, labels):
 EPS = 1e-8
 
 
+def check_adam_settings(lr, beta1, beta2):
+    """Raise ValueError unless lr is finite and positive and both betas are in [0, 1)."""
+    if not (lr > 0.0 and np.isfinite(lr)):
+        raise ValueError(f"learning rate must be finite and positive, got {lr}")
+    for name, beta in (("beta1", beta1), ("beta2", beta2)):
+        if not 0.0 <= beta < 1.0:
+            raise ValueError(f"{name} must be in [0, 1), got {beta}")
+
+
 class Adam:
     """Bias-corrected Adam (Kingma & Ba, arXiv 1412.6980), in place on ``theta``."""
 
     def __init__(self, theta, lr, beta1, beta2):
-        if not (lr > 0.0 and np.isfinite(lr)):
-            raise ValueError(f"learning rate must be finite and positive, got {lr}")
-        for name, beta in (("beta1", beta1), ("beta2", beta2)):
-            if not 0.0 <= beta < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {beta}")
+        check_adam_settings(lr, beta1, beta2)
         self.theta = theta
         self.lr = lr
         self.beta1 = beta1

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _serialize
 from .conformal import RigidMotion, rotation_about_axis
 
 TWO_PI = 2.0 * np.pi
@@ -183,39 +184,25 @@ def make_dataset(kind, size, noise_a=0.0, seed=0):
 def save_dataset(dataset, path):
     """Write a dataset as CSV: label plus 12 coordinates per row.
 
-    Floats are written by ``repr``, so a reload is bit-exact.  Non-finite
-    coordinates, which :func:`load_dataset` refuses, raise ValueError.
+    The floats reload bit-exact.  Non-finite coordinates, which
+    :func:`load_dataset` refuses, raise ValueError.
     """
     if not np.all(np.isfinite(dataset.points)):
         raise ValueError("cannot save a dataset with a non-finite coordinate")
-    with open(path, "w") as fh:
-        fh.write(DATASET_HEADER + "\n")
-        for label, pts in zip(dataset.labels, dataset.points):
-            coords = ",".join(repr(v) for v in pts.ravel().tolist())
-            fh.write(f"{int(label)},{coords}\n")
+    labeled = zip(dataset.labels.tolist(), dataset.points)
+    rows = ([label, *pts.ravel().tolist()] for label, pts in labeled)
+    _serialize.save_table(path, DATASET_HEADER, rows)
 
 
 def load_dataset(path):
     """Read a dataset written by :func:`save_dataset`."""
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != DATASET_HEADER:
-            raise ValueError(f"unexpected dataset header {header!r}")
-        labels = []
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 13:
-                raise ValueError(f"expected 13 fields, got {len(fields)}")
-            label = int(fields[0])
-            if not 0 <= label < NUM_CLASSES:
-                raise ValueError(f"label {label} out of range")
-            labels.append(label)
-            rows.append([float(v) for v in fields[1:]])
-    points = np.asarray(rows, dtype=float).reshape(-1, POINTS_PER_SHAPE, 3)
+    labels, coords = [], []
+    for label, *xyz in _serialize.load_table(path, DATASET_HEADER):
+        labels.append(int(label))
+        if not 0 <= labels[-1] < NUM_CLASSES:
+            raise ValueError(f"label {label} out of range in {path}")
+        coords.append(list(map(float, xyz)))
+    points = np.asarray(coords, dtype=float).reshape(-1, POINTS_PER_SHAPE, 3)
     if not np.all(np.isfinite(points)):
         raise ValueError(f"non-finite coordinate in {path}")
     return LabeledShapeSet(points, np.asarray(labels, dtype=np.int64), {})

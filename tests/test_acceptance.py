@@ -32,7 +32,7 @@ from mlgp.experiment import (
     make_test_set,
     run_protocol,
 )
-from mlgp.models import build_model, param_count, transform_mlgp_weights
+from mlgp.models import build_model, param_count
 from mlgp.nn import backward, forward, softmax_cross_entropy
 
 MASTER_SEED = 1
@@ -166,7 +166,7 @@ def test_criterion_07_parameter_counts(capsys):
 
 @pytest.fixture(scope="module")
 def main_protocol():
-    return run_protocol(DESK, keep_models=True)
+    return run_protocol(DESK)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,5 @@
 """End-to-end tests for each command-line subcommand."""
 
-import numpy as np
 import pytest
 
 from mlgp.cli import main

@@ -1,6 +1,7 @@
 """Tests for the protocol, statistics, isometry test, and sphere export."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,10 @@ import pytest
 from mlgp.conformal import sphere_from_center_radius
 from mlgp.experiment import (
     COMBO_NAMES,
+    RECORDS_HEADER,
+    RESULTS_HEADER,
     ProtocolConfig,
+    RunRecord,
     derive_seed,
     export_spheres,
     fit,
@@ -25,7 +29,7 @@ from mlgp.experiment import (
     train,
 )
 from mlgp.models import build_model
-from mlgp.tetris import THETA_EVAL, make_dataset
+from mlgp.tetris import DATASET_HEADER, THETA_EVAL, make_dataset
 
 TINY = ProtocolConfig(
     runs=2,
@@ -63,6 +67,11 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
             ProtocolConfig(**{name: bad})
     ProtocolConfig(runs=np.int64(1), epochs=0, top_k=1, train_size=8, val_size=8, test_size=8)
+    # Adam settings fail at construction, before any data is sampled
+    for name, bad, match in (("lr", -1.0, "learning rate"), ("lr", np.inf, "learning rate"),
+                             ("beta1", 1.5, "beta1"), ("beta2", np.nan, "beta2")):
+        with pytest.raises(ValueError, match=match):
+            ProtocolConfig(**{name: bad})
     for kinds in ((), ("mlp", "mlp"), ("mlgp", "mlp", "mlgp")):
         with pytest.raises(ValueError, match="models"):
             ProtocolConfig(models=kinds)
@@ -135,7 +144,7 @@ def test_run_protocol_is_deterministic():
 
 
 def test_run_protocol_structure_and_stats():
-    result = run_protocol(TINY, keep_models=True)
+    result = run_protocol(TINY)
     assert set(result.chains) == {
         (m, r) for m in TINY.models for r in range(TINY.runs)
     }
@@ -192,12 +201,33 @@ def test_records_roundtrip_and_stat_recomputation(tmp_path):
 
 
 def test_records_loader_validates_header(tmp_path):
+    # a wrong header, a short row and a long row, each a one-line error naming the file
     path = tmp_path / "bad.csv"
-    path.write_text("nope\n")
-    with pytest.raises(ValueError):
-        load_records(path)
-    with pytest.raises(ValueError):
-        load_results(path)
+    for load, header in ((load_records, RECORDS_HEADER), (load_results, RESULTS_HEADER)):
+        row = ["0"] * len(header.split(","))
+        for text in ("nope\n", f"{header}\n{','.join(row[1:])}\n",
+                     f"{header}\n{','.join(row * 2)}\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+                load(path)
+            assert "\n" not in str(err.value)
+
+
+def test_file_headers_are_pinned():
+    # the records and results columns are RunRecord's and StatRow's fields,
+    # so renaming a field changes a file format
+    assert RECORDS_HEADER == "run_id,model,seed,val_accuracy,test_accuracy,wall_time"
+    assert RESULTS_HEADER == "model,dataset,noise,stat,mean,std"
+    assert DATASET_HEADER == "label,x1,y1,z1,x2,y2,z2,x3,y3,z3,x4,y4,z4"
+
+
+def test_results_store_an_int_noise_as_a_float(tmp_path):
+    records = [RunRecord(0, "mlp", 1, 0.5, 0.25, 0.0)]
+    rows = summarize_records(records, replace(TINY, noise_a=0))
+    assert all(type(row.noise) is float for row in rows)
+    path = tmp_path / "results.csv"
+    save_results(path, rows)
+    assert path.read_text().splitlines()[1] == "mlp,main,0.0,all_runs,25.0,0.0"
 
 
 def make_small_trained_mlgp(seed=50, epochs=300):

@@ -119,7 +119,7 @@ def test_forward_zero_weights_and_shapes():
     # the trace is feature-major: (in_dim, batch) and (out_dim, batch)
     assert trace[0].embedded.shape == (20, 1)
     assert trace[0].pre_act.shape == (4, 1)
-    assert trace[1].pre_embed.shape == (4, 1)
+    assert trace[1].embedded.shape == (6, 1)
     # one bare (4, 3) shape is not a batch; nor is a (5, 3) one
     for bad in (pts[0], np.zeros((5, 3))):
         with pytest.raises(ValueError, match="expects 12 inputs"):
@@ -181,7 +181,7 @@ def test_activations():
     pts = np.random.default_rng(27).uniform(-3, 3, (3, 4, 3))
     logits, trace = forward(model, pts)
     hidden = np.array([0.0, 0.0, 2.0, 0.0, 0.5, 0.0])
-    assert np.array_equal(trace[1].pre_embed, np.tile(hidden[:, None], 3))
+    assert np.array_equal(trace[1].embedded, np.tile(hidden[:, None], 3))
     assert np.array_equal(logits, trace[1].pre_act.T)
     grads = Model("mlp", backward(model, trace, np.ones((3, 8)))).layers
     live = first.b > 0.0

@@ -1,6 +1,7 @@
-"""Property tests: any finite double survives checkpoint and dataset files bit for bit."""
+"""Property tests: any finite double survives every file the package writes bit for bit."""
 
 import tempfile
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+from mlgp.experiment import (
+    RunRecord,
+    StatRow,
+    load_records,
+    load_results,
+    save_records,
+    save_results,
+)
 from mlgp.models import MODEL_KINDS, build_model, load_checkpoint, save_checkpoint
 from mlgp.tetris import NUM_CLASSES, LabeledShapeSet, load_dataset, save_dataset
 
@@ -64,3 +73,25 @@ def test_dataset_reloads_any_finite_coordinate_bit_for_bit(rows):
         loaded = load_dataset(path)
     assert np.array_equal(loaded.labels, labels)
     assert same_bits(loaded.points, points)
+
+
+def float_columns(rows):
+    return [[getattr(r, f.name) for f in fields(r) if f.type is float] for r in rows]
+
+
+@settings(deadline=None)
+@example(values=EDGES)
+@given(values=st.lists(FINITE, min_size=1, max_size=9))
+def test_records_and_results_reload_any_finite_float_bit_for_bit(values):
+    # every value lands in every float column of both tables
+    v = [float(x) for x in values] * 3
+    triples = list(zip(v, v[1:], v[2:]))[: len(values)]
+    records = [RunRecord(i, "mlgp", 2**64 - 1 - i, a, b, c) for i, (a, b, c) in enumerate(triples)]
+    stats = [StatRow("mlhp", "theta", a, "top_k", b, c) for a, b, c in triples]
+    with tempfile.TemporaryDirectory() as tmp:
+        save_records(Path(tmp) / "records.csv", records)
+        save_results(Path(tmp) / "results.csv", stats)
+        loaded = load_records(Path(tmp) / "records.csv"), load_results(Path(tmp) / "results.csv")
+    for got, rows in zip(loaded, (records, stats)):
+        assert list(map(astuple, got)) == list(map(astuple, rows))
+        assert same_bits(float_columns(got), float_columns(rows))

@@ -1,6 +1,7 @@
 """Tests for the canonical shapes, motion sampling, and dataset files."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -252,15 +253,14 @@ def test_dataset_roundtrip_bit_exact(tmp_path):
 
 def test_load_dataset_validation(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("nope\n")
-    with pytest.raises(ValueError):
-        load_dataset(path)
-    path.write_text(DATASET_HEADER + "\n1,2,3\n")
-    with pytest.raises(ValueError):
-        load_dataset(path)
-    path.write_text(DATASET_HEADER + "\n9," + ",".join(["0"] * 12) + "\n")
-    with pytest.raises(ValueError):
-        load_dataset(path)
+    zeros = ",".join(["0"] * 12)
+    # a wrong header, a short row, a long row, a label out of range
+    for text in ("nope\n", f"{DATASET_HEADER}\n1,2,3\n", f"{DATASET_HEADER}\n1,{zeros},0\n",
+                 f"{DATASET_HEADER}\n9,{zeros}\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+            load_dataset(path)
+        assert "\n" not in str(err.value)
 
 
 def test_load_dataset_rejects_non_finite(tmp_path):
