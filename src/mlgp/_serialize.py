@@ -35,13 +35,23 @@ def save_table(path, header, rows):
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def load_table(path, header):
-    """Yield the rows after an exact ``header`` as lists of strings, skipping blank lines."""
-    width = header.count(",") + 1
+def load_table(path, header, types):
+    """Yield the rows after an exact ``header``, each field parsed by its column's type.
+
+    Blank lines are skipped.  A row of another width, or a field its type
+    cannot parse, raises a one-line ValueError naming the file and line.
+    """
     with open(path) as fh:
         if fh.readline().rstrip("\n") != header:
             raise ValueError(f"{path}: expected the header {header!r}")
-        for row in (line.rstrip("\n").split(",") for line in fh if line.strip()):
-            if len(row) != width:
-                raise ValueError(f"{path}: expected {width} fields per row, got {len(row)}")
-            yield row
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            row = line.rstrip("\n").split(",")
+            if len(row) != len(types):
+                raise ValueError(f"{path}, line {lineno}: expected {len(types)} fields, got {len(row)}")
+            try:
+                values = [parse(v) for parse, v in zip(types, row)]
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            yield values

@@ -21,14 +21,9 @@ import numpy as np
 
 from . import _serialize, tetris
 from .conformal import DegenerateSphereError, extract_center_radius_sq, point_normalize
-from .models import (
-    MLGP,
-    MODEL_KINDS,
-    accuracy,
-    build_model,
-    transform_mlgp_weights,
-)
-from .nn import Adam, backward, check_adam_settings, embed_input, forward, softmax_cross_entropy
+from .models import MLGP, MODEL_KINDS, accuracy, build_model, transform_mlgp_weights
+from .nn import (Adam, backward, check_adam_settings, embed_input, forward, one_hot,
+                 softmax_cross_entropy)
 from .tetris import make_dataset, sample_motion
 
 MAIN_EXPERIMENT = "main"
@@ -172,17 +167,18 @@ def fit(model, points, labels, epochs, lr=ProtocolConfig.lr,
     """Full-batch Adam on softmax cross-entropy; returns per-epoch losses.
 
     The Adam defaults are the reference protocol's.  The first layer's input
-    lift has no parameters, so it is computed once and reused every epoch.
+    lift has no parameters and the labels do not change, so the lift and the
+    one-hot target are computed once and reused every epoch.
     """
     if not isinstance(epochs, numbers.Integral) or epochs < 0:
         raise ValueError(f"epochs must be an integer >= 0, got {epochs!r}")
     first = embed_input(model.layers[0], points)
-    labels = np.asarray(labels)
+    target = one_hot(labels)
     opt = Adam(model.theta, lr, beta1, beta2)
     losses = np.empty(epochs)
     for epoch in range(epochs):
         logits, trace = forward(model, points, first_embedded=first)
-        loss, dlogits = softmax_cross_entropy(logits, labels)
+        loss, dlogits = softmax_cross_entropy(logits, target)
         opt.step(backward(model, trace, dlogits))
         losses[epoch] = loss
     return losses
@@ -266,8 +262,7 @@ def run_protocol(config, progress=None):
 def _load_rows(path, header, row_type):
     """The rows of a table of ``row_type``, each column parsed by its field's type."""
     types = [f.type for f in fields(row_type)]
-    rows = _serialize.load_table(path, header)
-    return [row_type(*(t(v) for t, v in zip(types, row))) for row in rows]
+    return [row_type(*row) for row in _serialize.load_table(path, header, types)]
 
 
 def save_records(path, records):
@@ -330,26 +325,22 @@ def isometry_test(model, test_set, trials=100, seed=0):
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     pts, labels = test_set.points, test_set.labels
-    base_logits, _ = forward(model, pts)
-    base_acc = float(np.mean(np.argmax(base_logits, axis=1) == labels)) * 100.0
-    accs = {name: np.empty(trials) for name in COMBO_NAMES}
+
+    def scored(m, p):
+        logits, _ = forward(m, p, keep_trace=False)
+        return logits, float(np.mean(np.argmax(logits, axis=1) == labels)) * 100.0
+
+    base_logits, base_acc = scored(model, pts)
+    accs = np.empty((len(COMBO_NAMES), trials))
     max_dev = 0.0
     for t in range(trials):
         motion = sample_motion(rng)
         moved_pts = motion.apply(pts)
         moved_model = transform_mlgp_weights(model, motion)
-        logits_tt, _ = forward(moved_model, moved_pts)
-        logits_ot, _ = forward(model, moved_pts)
-        logits_to, _ = forward(moved_model, pts)
+        logits_tt, acc_tt = scored(moved_model, moved_pts)
         max_dev = max(max_dev, float(np.abs(logits_tt - base_logits).max()))
-        accs[COMBO_NAMES[0]][t] = base_acc
-        for name, logits in (
-            (COMBO_NAMES[1], logits_tt),
-            (COMBO_NAMES[2], logits_ot),
-            (COMBO_NAMES[3], logits_to),
-        ):
-            accs[name][t] = float(np.mean(np.argmax(logits, axis=1) == labels)) * 100.0
-    return IsometryReport(trials, accs, max_dev)
+        accs[:, t] = base_acc, acc_tt, scored(model, moved_pts)[1], scored(moved_model, pts)[1]
+    return IsometryReport(trials, dict(zip(COMBO_NAMES, accs)), max_dev)
 
 
 SPHERES_FORMAT = "mlgp-spheres-v1"

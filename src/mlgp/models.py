@@ -109,18 +109,17 @@ def transform_mlgp_weights(model, motion):
 def predict(model, points):
     """Class labels (batch,) and softmax probabilities (batch, 8) of shapes.
 
-    ``points`` is a (batch, 4, 3) batch.  Argmax ties resolve to the lowest
-    label index.
+    ``points`` is a (batch, 4, 3) batch.  The label is the argmax of the
+    logits; ties among the logits go to the lowest label.
     """
-    logits, _ = forward(model, points)
-    probs = softmax(logits)
-    return np.argmax(probs, axis=1), probs
+    logits, _ = forward(model, points, keep_trace=False)
+    return np.argmax(logits, axis=1), softmax(logits)
 
 
 def accuracy(model, points, labels):
-    """Fraction of shapes assigned their true label, in [0, 1]."""
-    predicted, _ = predict(model, points)
-    return float(np.mean(predicted == np.asarray(labels)))
+    """Fraction of shapes assigned their true label (see :func:`predict`), in [0, 1]."""
+    logits, _ = forward(model, points, keep_trace=False)
+    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
 
 
 def save_checkpoint(path, kind, model, adam_step=0):

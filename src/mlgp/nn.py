@@ -16,6 +16,8 @@ Inside :func:`forward`, :func:`backward` and the loss, arrays are laid out as
 (features, batch): a layer computes ``W @ lift(x)``, the classes are summed
 over axis 0, and ``dW = dz @ embedded.T``.  The boundary stays batch-major:
 (batch, 4, 3) points, (batch, 8) logits and gradients as free ``.T`` views.
+Evaluation runs :func:`forward` with ``keep_trace=False`` and keeps no trace;
+a fit builds the loss's :func:`one_hot` target once, as it never changes.
 """
 
 import numpy as np
@@ -84,23 +86,26 @@ def embed_input(layer, points):
     return lift(_features(points, layer), layer.group).T
 
 
-def forward(model, points, first_embedded=None):
+def forward(model, points, first_embedded=None, keep_trace=True):
     """Run a model on a batch of shapes, (batch, 4, 3).
 
     Returns ``(logits, trace)``: (batch, 8) logits and a list of LayerTrace,
-    whose arrays are (features, batch).  One shape is a batch of one; a bare
-    (4, 3) shape raises ValueError.
+    whose arrays are (features, batch).  With ``keep_trace=False``, for
+    evaluation, the trace is None, so no layer's arrays are kept for a
+    backward pass; the logits are the same.  One shape is a batch of one; a
+    bare (4, 3) shape raises ValueError.
     """
     if first_embedded is None:
         first_embedded = embed_input(model.layers[0], points)
     x = first_embedded.T
-    trace = []
-    for layer in model.layers:
-        embedded = lift(x, layer.group) if trace else x
+    trace = [] if keep_trace else None
+    for i, layer in enumerate(model.layers):
+        embedded = lift(x, layer.group) if i else x
         pre_act = layer.w @ embedded
         if layer.b is not None:
             pre_act += layer.b[:, None]
-        trace.append(LayerTrace(embedded, pre_act))
+        if keep_trace:
+            trace.append(LayerTrace(embedded, pre_act))
         x = np.maximum(pre_act, 0.0) if layer.activation == "relu" else pre_act
     return x.T, trace
 
@@ -140,21 +145,37 @@ def softmax(logits):
     return p.T
 
 
+def one_hot(labels):
+    """The (batch, 8) one-hot of (batch,) integer labels in 0..7.
+
+    It is the ``.T`` view of a C-contiguous (8, batch) array, the layout
+    :func:`softmax_cross_entropy` reads, so a training loop builds it once.
+    """
+    labels = np.asarray(labels)
+    if not (labels.ndim == 1 and np.issubdtype(labels.dtype, np.integer)
+            and np.all((labels >= 0) & (labels < 8))):
+        raise ValueError("labels must be a vector of integers in 0..7")
+    target = np.zeros((8, len(labels)))
+    target[labels, np.arange(len(labels))] = 1.0
+    return target.T
+
+
 def softmax_cross_entropy(logits, labels):
     """Mean cross-entropy of (batch, 8) logits and its gradient.
 
-    ``labels`` is a (batch,) vector of integers in 0..7.  Returns the mean
-    loss over the batch and its (batch, 8) gradient with respect to the
-    logits, ``(softmax - onehot) / batch``.
+    ``labels`` is a (batch,) vector of integers in 0..7 or its
+    :func:`one_hot`.  Returns the mean loss over the batch and its (batch, 8)
+    gradient with respect to the logits, ``(softmax - onehot) / batch``.
     """
     z = _class_major(logits)
     n = z.shape[1]
+    target = (one_hot(labels) if np.ndim(labels) == 1 else labels).T
     log_probs = z - z.max(axis=0)
     log_probs -= np.log(np.exp(log_probs).sum(axis=0))
-    picked = np.ravel_multi_index((labels, np.arange(n)), z.shape)
-    loss = float(-log_probs.take(picked).sum() / n)
+    # each column adds seven exact zeros to its label's log-probability
+    loss = float(-(log_probs * target).sum(axis=0).sum() / n)
     d = np.exp(log_probs, out=log_probs)
-    d.put(picked, d.take(picked) - 1.0)
+    d -= target
     d /= n
     return loss, d.T
 

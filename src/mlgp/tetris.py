@@ -68,9 +68,8 @@ DATASET_ANGLES = {
     THETA_EVAL: THETA_EVAL_ANGLES,
 }
 
-DATASET_HEADER = "label," + ",".join(
-    f"{axis}{i}" for i in range(1, 5) for axis in "xyz"
-)
+DATASET_HEADER = "label," + ",".join(f"{axis}{i}" for i in range(1, 5) for axis in "xyz")
+_DATASET_TYPES = (int,) + (float,) * 3 * POINTS_PER_SHAPE
 
 
 def canonical_shapes():
@@ -197,11 +196,11 @@ def save_dataset(dataset, path):
 def load_dataset(path):
     """Read a dataset written by :func:`save_dataset`."""
     labels, coords = [], []
-    for label, *xyz in _serialize.load_table(path, DATASET_HEADER):
-        labels.append(int(label))
-        if not 0 <= labels[-1] < NUM_CLASSES:
+    for label, *xyz in _serialize.load_table(path, DATASET_HEADER, _DATASET_TYPES):
+        if not 0 <= label < NUM_CLASSES:
             raise ValueError(f"label {label} out of range in {path}")
-        coords.append(list(map(float, xyz)))
+        labels.append(label)
+        coords.append(xyz)
     points = np.asarray(coords, dtype=float).reshape(-1, POINTS_PER_SHAPE, 3)
     if not np.all(np.isfinite(points)):
         raise ValueError(f"non-finite coordinate in {path}")

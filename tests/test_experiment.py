@@ -201,7 +201,8 @@ def test_records_roundtrip_and_stat_recomputation(tmp_path):
 
 
 def test_records_loader_validates_header(tmp_path):
-    # a wrong header, a short row and a long row, each a one-line error naming the file
+    # a wrong header, a short row and a long row, each a one-line error naming the file,
+    # then a field that does not parse
     path = tmp_path / "bad.csv"
     for load, header in ((load_records, RECORDS_HEADER), (load_results, RESULTS_HEADER)):
         row = ["0"] * len(header.split(","))
@@ -211,6 +212,16 @@ def test_records_loader_validates_header(tmp_path):
             with pytest.raises(ValueError, match=re.escape(str(path))) as err:
                 load(path)
             assert "\n" not in str(err.value)
+    # a field its column's type cannot parse is named with the file and line
+    for load, header, good, bad, why in (
+        (load_records, RECORDS_HEADER, "0,mlp,1,0.5,0.25,0.0", "x,mlp,1,0.5,0.25,0.0", "'x'"),
+        (load_results, RESULTS_HEADER, "mlp,main,0.0,all_runs,25.0,0.0",
+         "mlp,main,0.0,all_runs,high,0.0", "'high'"),
+    ):
+        path.write_text(f"{header}\n{good}\n{bad}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: ")) as err:
+            load(path)
+        assert why in str(err.value) and "\n" not in str(err.value)
 
 
 def test_file_headers_are_pinned():

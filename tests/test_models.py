@@ -18,6 +18,7 @@ from mlgp.models import (
     transform_mlgp_weights,
 )
 from mlgp.nn import forward
+from mlgp.tetris import make_dataset
 
 
 def random_motion(rng, t_range=3.0):
@@ -72,6 +73,12 @@ def test_accuracy():
     assert accuracy(model, pts, labels) == 1.0
     wrong = (labels + 1) % 8
     assert accuracy(model, pts, wrong) == 0.0
+    # accuracy scores the same labels predict returns, on a large set too
+    data = make_dataset("main", 20000, noise_a=0.1, seed=2)
+    for kind in MODEL_KINDS:
+        model = build_model(kind, rng)
+        want = np.mean(predict(model, data.points)[0] == data.labels)
+        assert accuracy(model, data.points, data.labels) == want, kind
 
 
 def test_model_copy_is_independent():

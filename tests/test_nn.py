@@ -11,6 +11,7 @@ from mlgp.nn import (
     backward,
     embed_input,
     forward,
+    one_hot,
     softmax,
     softmax_cross_entropy,
 )
@@ -147,6 +148,9 @@ def test_forward_batch_matches_single():
         for i in range(5):
             single, _ = forward(model, batch[i : i + 1])
             assert np.allclose(logits[i], single[0], atol=1e-12)
+        # an evaluation forward keeps no trace and gives the same logits
+        untraced, trace = forward(model, batch, keep_trace=False)
+        assert trace is None and np.array_equal(untraced, logits)
 
 
 def test_forward_with_precomputed_embedding():
@@ -209,13 +213,19 @@ def test_cross_entropy_examples():
     z[0, 2] = 100.0
     loss, _ = softmax_cross_entropy(z, [2])
     assert loss <= 1e-12
-    # extreme logits stay finite
-    loss, d = softmax_cross_entropy(np.array([[1e4, 0, 0, 0, 0, 0, 0, -1e4]]), [0])
-    assert np.isfinite(loss) and np.all(np.isfinite(d))
-    # a label outside 0..7 is an error, not a wrapped index
-    for bad in ([0, 8], [-1, 0]):
-        with pytest.raises(ValueError):
+    # extreme logits stay finite, and the one-hot target gives the same bits
+    extreme = np.array([[1e4, 0, 0, 0, 0, 0, 0, -1e4]] * 2)
+    for labels in ([0, 0], [7, 3]):
+        loss, d = softmax_cross_entropy(extreme, labels)
+        assert np.isfinite(loss) and np.all(np.isfinite(d))
+        loss_1h, d_1h = softmax_cross_entropy(extreme, one_hot(labels))
+        assert loss_1h == loss and np.array_equal(d_1h, d)
+    # a label outside 0..7, or not an integer, is an error, not a wrapped index
+    for bad in ([0, 8], [-1, 0], [2.5, 0]):
+        with pytest.raises(ValueError, match="integers in 0..7"):
             softmax_cross_entropy(np.zeros((2, 8)), bad)
+        with pytest.raises(ValueError, match="integers in 0..7"):
+            one_hot(bad)
 
 
 def test_cross_entropy_batch_matches_singles():
@@ -444,5 +454,11 @@ def test_loss_and_backward_do_not_depend_on_the_logit_layout():
         loss_c, d_c = softmax_cross_entropy(np.ascontiguousarray(logits), labels)
         assert loss == loss_c and d.shape == d_c.shape == (50, 8)
         assert np.array_equal(d, d_c)
+        # the one-hot target that fit builds once gives the same bits
+        target = one_hot(labels)
+        assert target.shape == (50, 8) and target.T.flags.c_contiguous
+        for view in (logits, np.ascontiguousarray(logits)):
+            loss_1h, d_1h = softmax_cross_entropy(view, target)
+            assert loss_1h == loss and np.array_equal(d_1h, d)
         grad = backward(model, trace, d)
         assert np.array_equal(grad, backward(model, trace, np.ascontiguousarray(d)))

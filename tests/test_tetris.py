@@ -261,6 +261,12 @@ def test_load_dataset_validation(tmp_path):
         with pytest.raises(ValueError, match=re.escape(str(path))) as err:
             load_dataset(path)
         assert "\n" not in str(err.value)
+    # a field that does not parse is named with its file and line (blank lines count)
+    for row, why in ((f"1,abc,{zeros[2:]}", "'abc'"), (f"x,{zeros}", "'x'")):
+        path.write_text(f"{DATASET_HEADER}\n1,{zeros}\n\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 4: ")) as err:
+            load_dataset(path)
+        assert why in str(err.value) and "\n" not in str(err.value)
 
 
 def test_load_dataset_rejects_non_finite(tmp_path):
