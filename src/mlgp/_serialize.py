@@ -26,7 +26,10 @@ def save(path, obj):
 
 
 def load(path):
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_table(path, header, rows):

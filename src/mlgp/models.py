@@ -3,42 +3,44 @@
 All models map a batch of 4-point 3D shapes, (batch, 4, 3), to (batch, 8)
 class logits (softmax applied by the loss or by :func:`predict`):
 
-* ``mlp``   - Dense(12 -> 6, bias, ReLU) -> Dense(6 -> 8, bias); 134 params.
+* ``mlp``   - Dense(12 -> 6, bias) -> ReLU -> Dense(6 -> 8, bias); 134 params.
 * ``mlhp``  - flatten to 12, lift to 14 -> linear(14 -> 5) -> lift to 7
               -> linear(7 -> 8), no biases; 126 params.
-* ``mlgp``  - point-wise lift to 20 -> geometric(20 -> 4) -> lift to 6
-              -> hypersphere(6 -> 8), no biases; 128 params.
+* ``mlgp``  - point-wise lift to 20 -> linear(20 -> 4) -> lift to 6
+              -> linear(6 -> 8), no biases; 128 params.
 
-A :class:`Model` is its kind plus one float64 vector ``theta``; layer shapes
-come from ``ARCHITECTURES`` alone, and each layer's weights and bias are
-views into ``theta``, so copies, training and checkpoints handle one vector.
+A :class:`Model` is its kind plus one float64 vector ``theta``; each layer
+is a row ``(group, in_dim, out_dim)`` of ``ARCHITECTURES``, and its weights
+and bias are views into ``theta``.  So copies and training handle one
+vector, and a checkpoint is the kind, the Adam step count and ``theta``.
 
 The geometric first layer of ``mlgp`` admits an exact weight-space rigid
 motion action (:func:`transform_mlgp_weights`): moving the input shape and
 the weights together leaves every activation unchanged.
 """
 
+import numbers
 from itertools import accumulate
 
 import numpy as np
 
 from . import _serialize
 from .conformal import RigidMotion, motor_matrix_sphere
-from .nn import DENSE, GEOMETRIC, HYPERSPHERE, Layer, forward, softmax
+from .nn import Layer, forward, softmax
 
 MLP = "mlp"
 MLHP = "mlhp"
 MLGP = "mlgp"
 MODEL_KINDS = (MLP, MLHP, MLGP)
 
-# (layer kind, lifted in_dim, out_dim, activation) per layer
+# (lift group, lifted in_dim, out_dim) per layer; group 0 is a dense layer
 ARCHITECTURES = {
-    MLP: ((DENSE, 12, 6, "relu"), (DENSE, 6, 8, "identity")),
-    MLHP: ((HYPERSPHERE, 14, 5, "identity"), (HYPERSPHERE, 7, 8, "identity")),
-    MLGP: ((GEOMETRIC, 20, 4, "identity"), (HYPERSPHERE, 6, 8, "identity")),
+    MLP: ((0, 12, 6), (0, 6, 8)),
+    MLHP: ((12, 14, 5), (5, 7, 8)),
+    MLGP: ((3, 20, 4), (4, 6, 8)),
 }
 
-CHECKPOINT_FORMAT = "mlgp-checkpoint-v1"
+CHECKPOINT_FORMAT = "mlgp-checkpoint-v2"
 
 
 class Model:
@@ -53,7 +55,7 @@ class Model:
         if kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
         specs = ARCHITECTURES[kind]
-        sizes = [out_dim * (in_dim + (lk == DENSE)) for lk, in_dim, out_dim, _ in specs]
+        sizes = [out_dim * (in_dim + (group == 0)) for group, in_dim, out_dim in specs]
         starts = (0, *accumulate(sizes))
         self.kind = kind
         self.theta = theta = np.zeros(starts[-1]) if theta is None else theta
@@ -123,62 +125,40 @@ def accuracy(model, points, labels):
 
 
 def save_checkpoint(path, kind, model, adam_step=0):
-    """Write a model of ``kind`` to a text checkpoint that reloads bit for bit."""
+    """Write a model of ``kind`` to a text checkpoint that reloads bit for bit.
+
+    The file is the JSON object ``{"format", "model", "adam_step", "theta"}``.
+    """
     if kind != model.kind:
         raise ValueError(f"cannot save a {model.kind} model as {kind!r}")
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "model": kind,
-        "adam_step": int(adam_step),
-        "layers": [
-            {
-                "kind": layer.kind,
-                "in_dim": layer.in_dim,
-                "out_dim": layer.out_dim,
-                "activation": layer.activation,
-                "weights": layer.w,
-                "bias": layer.b,
-            }
-            for layer in model.layers
-        ],
-    }
-    _serialize.save(path, doc)
+    if not isinstance(adam_step, numbers.Integral) or adam_step < 0:
+        raise ValueError(f"adam_step must be an integer >= 0, got {adam_step!r}")
+    _serialize.save(path, {"format": CHECKPOINT_FORMAT, "model": kind,
+                           "adam_step": int(adam_step), "theta": model.theta})
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns ``(kind, model, adam_step)``.
 
-    A malformed file raises ValueError: a missing key, an unknown model, a
-    layer list other than the model's architecture, or a misshapen or
-    non-finite parameter.  The layers are checked against ``ARCHITECTURES``
-    before anything is allocated.
+    A malformed file raises a one-line ValueError that names it: another
+    format, a missing key, an unknown model, an ``adam_step`` other than a
+    JSON integer >= 0, or a ``theta`` other than the model's finite floats.
     """
     doc = _serialize.load(path)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a model checkpoint: {path}")
     try:
-        kind = doc["model"]
-        if kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {kind!r} in {path}")
-        specs = doc["layers"]
-        stated = ((s["kind"], s["in_dim"], s["out_dim"], s["activation"]) for s in specs)
-        if tuple(stated) != ARCHITECTURES[kind]:
-            raise ValueError(f"layers in {path} do not match the {kind} architecture")
-        model = Model(kind)
-        for layer, spec in zip(model.layers, specs):
-            layer.w[:] = _load_param(spec["weights"], layer.w.shape, path)
-            if layer.b is not None:
-                layer.b[:] = _load_param(spec["bias"], layer.b.shape, path)
-            elif spec["bias"] is not None:
-                raise ValueError(f"unexpected bias in {path}")
-        adam_step = int(doc["adam_step"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed checkpoint {path}: {exc!r}") from None
-    return kind, model, adam_step
-
-
-def _load_param(values, shape, path):
-    param = np.asarray(values, dtype=float)
-    if param.shape != shape or not np.all(np.isfinite(param)):
-        raise ValueError(f"parameters in {path} must be finite with shape {shape}")
-    return param
+        kind, adam_step, theta = doc["model"], doc["adam_step"], doc["theta"]
+    except KeyError as exc:
+        raise ValueError(f"malformed checkpoint {path}: missing {exc}") from None
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r} in {path}")
+    if type(adam_step) is not int or adam_step < 0:
+        raise ValueError(f"adam_step in {path} must be an integer >= 0, got {adam_step!r}")
+    if not (isinstance(theta, list) and all(type(v) is float for v in theta)
+            and np.isfinite(theta).all()):
+        raise ValueError(f"theta in {path} must be a list of finite floats")
+    try:
+        return kind, Model(kind, np.array(theta)), adam_step
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -3,69 +3,49 @@
 A model's parameters are one float64 vector ``theta`` that its layers view;
 :func:`backward` returns the gradient in that layout, for :class:`Adam`.
 
-Every layer computes ``activation(W @ lift(x, group))`` with the conformal
-lift of :mod:`mlgp.conformal`.  The layer kinds differ only in ``group``:
-``dense`` has 0 (no lift; a bias instead), ``geometric`` has 3 (each 3D
-point becomes a 5-dim block), and ``hypersphere`` has the input width m
-(the whole input becomes one (m+2)-dim point).  ``activation`` is ReLU
-for mlp's hidden layer and the identity elsewhere.  The lift is parameter-free
-but nonlinear, so the backward pass routes gradients through its adjoint,
-``lift_grad``.  Everything is float64 and vectorized over a batch axis.
+A layer is its lift group: it computes ``W @ lift(x, group)`` with the
+conformal lift of :mod:`mlgp.conformal`, where ``group`` is 3 for mlgp's
+point-wise first layer, the input width for a hypersphere layer and 0 for a
+dense layer (no lift; a bias instead).  The lift is nonlinear, so it is the
+hidden nonlinearity; only a dense layer, which has none, takes a ReLU of its
+hidden input.  Gradients pass back through the lift's adjoint, ``lift_grad``.
 
 Inside :func:`forward`, :func:`backward` and the loss, arrays are laid out as
-(features, batch): a layer computes ``W @ lift(x)``, the classes are summed
-over axis 0, and ``dW = dz @ embedded.T``.  The boundary stays batch-major:
-(batch, 4, 3) points, (batch, 8) logits and gradients as free ``.T`` views.
-Evaluation runs :func:`forward` with ``keep_trace=False`` and keeps no trace;
-a fit builds the loss's :func:`one_hot` target once, as it never changes.
+(features, batch): the classes are summed over axis 0, and ``dW = dz @ x.T``.
+The boundary stays batch-major: (batch, 4, 3) points, (batch, 8) logits and
+gradients as free ``.T`` views.  Evaluation runs :func:`forward` with
+``keep_trace=False`` and keeps no trace; a fit builds the loss's
+:func:`one_hot` target once, as it never changes.
 """
 
 import numpy as np
-from dataclasses import dataclass
 
 from .conformal import lift, lift_grad
 
-DENSE = "dense"
-GEOMETRIC = "geometric"
-HYPERSPHERE = "hypersphere"
-
 
 class Layer:
-    """One layer of a model: its shape, its activation, and parameter views.
+    """One layer of a model: its lift group, its widths and parameter views.
 
-    ``in_dim`` counts the features the weights multiply, i.e. after any lift:
-    5k for geometric (k input points), m+2 for hypersphere (m-dim input).
-    ``group``, the input coordinates per lifted block, follows from ``kind``.
+    ``group`` counts the input coordinates per lifted block (0: no lift).
+    ``in_dim`` counts the features the weights multiply, after the lift.
     ``params`` is the layer's stretch of the model's parameter vector: the
     row-major (out_dim, in_dim) weights, then a dense layer's out_dim biases.
     ``w`` and ``b`` are views into it (``b`` is None without a bias).
     """
 
-    def __init__(self, kind, in_dim, out_dim, activation, params):
-        self.kind = kind
-        self.group = {DENSE: 0, GEOMETRIC: 3, HYPERSPHERE: in_dim - 2}[kind]
+    def __init__(self, group, in_dim, out_dim, params):
+        self.group = group
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.activation = activation
         self.params = params
         n_w = out_dim * in_dim
         self.w = params[:n_w].reshape(out_dim, in_dim)
-        self.b = params[n_w:] if kind == DENSE else None
+        self.b = params[n_w:] if group == 0 else None
 
     @property
     def pre_embed_dim(self):
         """Width of the raw input this layer consumes, before any lift."""
-        if self.group == 0:
-            return self.in_dim
-        return self.in_dim // (self.group + 2) * self.group
-
-
-@dataclass
-class LayerTrace:
-    """Per-layer forward record: everything backward needs, feature-major."""
-
-    embedded: np.ndarray  # features the weights multiplied (in_dim, batch)
-    pre_act: np.ndarray   # (out_dim, batch)
+        return self.in_dim // (self.group + 2) * self.group if self.group else self.in_dim
 
 
 def _features(points, layer):
@@ -73,7 +53,7 @@ def _features(points, layer):
     pts = np.asarray(points, dtype=float)
     x = pts.reshape(len(pts), -1).T
     if len(x) != layer.pre_embed_dim:
-        raise ValueError(f"{layer.kind} layer expects {layer.pre_embed_dim} inputs, got {len(x)}")
+        raise ValueError(f"layer expects {layer.pre_embed_dim} inputs, got {len(x)}")
     return x
 
 
@@ -89,24 +69,25 @@ def embed_input(layer, points):
 def forward(model, points, first_embedded=None, keep_trace=True):
     """Run a model on a batch of shapes, (batch, 4, 3).
 
-    Returns ``(logits, trace)``: (batch, 8) logits and a list of LayerTrace,
-    whose arrays are (features, batch).  With ``keep_trace=False``, for
-    evaluation, the trace is None, so no layer's arrays are kept for a
-    backward pass; the logits are the same.  One shape is a batch of one; a
-    bare (4, 3) shape raises ValueError.
+    Returns ``(logits, trace)``: (batch, 8) logits and, per layer, the
+    (in_dim, batch) input its weights multiplied.  Between layers, the next
+    layer's lift, or a dense layer's ReLU, is the nonlinearity.  With
+    ``keep_trace=False``, for evaluation, the trace is None and the logits
+    are the same.  One shape is a batch of one; a bare (4, 3) shape raises
+    ValueError.
     """
-    if first_embedded is None:
-        first_embedded = embed_input(model.layers[0], points)
-    x = first_embedded.T
+    # an evaluation forward frees each layer's input once the layer's output
+    # exists, the lifted model input included
+    x = (embed_input(model.layers[0], points) if first_embedded is None else first_embedded).T
     trace = [] if keep_trace else None
     for i, layer in enumerate(model.layers):
-        embedded = lift(x, layer.group) if i else x
-        pre_act = layer.w @ embedded
-        if layer.b is not None:
-            pre_act += layer.b[:, None]
+        if i:
+            x = lift(x, layer.group) if layer.group else np.maximum(x, 0.0)
         if keep_trace:
-            trace.append(LayerTrace(embedded, pre_act))
-        x = np.maximum(pre_act, 0.0) if layer.activation == "relu" else pre_act
+            trace.append(x)
+        x = layer.w @ x
+        if layer.b is not None:
+            x += layer.b[:, None]
     return x.T, trace
 
 
@@ -121,14 +102,14 @@ def backward(model, trace, d_logits):
     d = _class_major(d_logits)
     parts = []
     for i in range(len(model.layers) - 1, -1, -1):
-        layer, t = model.layers[i], trace[i]
-        # the ReLU subgradient at 0 is 0
-        dz = d * (t.pre_act > 0.0) if layer.activation == "relu" else d
+        layer, x = model.layers[i], trace[i]
         if layer.b is not None:
-            parts.append(dz.sum(axis=1))
-        parts.append((dz @ t.embedded.T).ravel())
+            parts.append(d.sum(axis=1))
+        parts.append((d @ x.T).ravel())
         if i > 0:
-            d = lift_grad(layer.w.T @ dz, t.embedded, layer.group)
+            d = layer.w.T @ d
+            # max(p, 0) > 0 exactly when p > 0: the ReLU's mask, 0 at 0
+            d = lift_grad(d, x, layer.group) if layer.group else d * (x > 0.0)
     return np.concatenate(parts[::-1])
 
 

@@ -1,10 +1,11 @@
 """End-to-end tests for each command-line subcommand."""
 
+import numpy as np
 import pytest
 
 from mlgp.cli import main
 from mlgp.experiment import RECORDS_HEADER, RESULTS_HEADER, load_records, load_results
-from mlgp.models import load_checkpoint
+from mlgp.models import build_model, load_checkpoint
 from mlgp.tetris import load_dataset
 from mlgp import _serialize
 
@@ -184,15 +185,23 @@ def test_export_spheres_rejects_checkpoint_without_key(tmp_path, capsys):
     assert err.startswith("error:") and "adam_step" in err and "\n" not in err
 
 
-def test_isometry_test_rejects_oversized_layer_before_allocating(tmp_path, capsys):
-    # a stated in_dim of 10**13 would need petabytes if it were allocated
-    ckpt = _trained_checkpoint(tmp_path, epochs=5)
-    doc = _serialize.load(ckpt)
-    doc["layers"][0]["in_dim"] = 10**13
-    _serialize.save(ckpt, doc)
+def test_isometry_test_and_export_spheres_reject_v1_checkpoint(tmp_path, capsys):
+    # the per-layer layout that mlgp-checkpoint-v1 files hold
+    layers = build_model("mlgp", np.random.default_rng(16)).layers
+    specs = (("geometric", "identity"), ("hypersphere", "identity"))
+    ckpt = tmp_path / "v1.json"
+    _serialize.save(ckpt, {
+        "format": "mlgp-checkpoint-v1", "model": "mlgp", "adam_step": 5,
+        "layers": [{"kind": kind, "in_dim": layer.in_dim, "out_dim": layer.out_dim,
+                    "activation": activation, "weights": layer.w, "bias": None}
+                   for layer, (kind, activation) in zip(layers, specs)],
+    })
     test = tmp_path / "test.csv"
     run("gen-data", "--size", "16", "--seed", "15", "--out", test)
     capsys.readouterr()
-    assert run("isometry-test", "--checkpoint", ckpt, "--test", test) == 1
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("error:") and "architecture" in err and "\n" not in err
+    for argv in (("isometry-test", "--checkpoint", ckpt, "--test", test),
+                 ("export-spheres", "--checkpoint", ckpt, "--out", tmp_path / "s.json")):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: not a model checkpoint: {ckpt}"
+    assert not (tmp_path / "s.json").exists()

@@ -39,15 +39,16 @@ def test_parameter_counts_match_reference():
 
 def test_build_model_structure():
     mlp = build_model("mlp")
+    # a layer is its lift group; group 0 (dense) has a bias and no lift
     assert mlp.kind == "mlp"
-    assert [l.kind for l in mlp.layers] == ["dense", "dense"]
-    assert mlp.layers[0].activation == "relu"
+    assert [l.group for l in mlp.layers] == [0, 0]
+    assert all(l.b is not None for l in mlp.layers)
     mlhp = build_model("mlhp")
-    assert [l.kind for l in mlhp.layers] == ["hypersphere", "hypersphere"]
+    assert [l.group for l in mlhp.layers] == [12, 5]
     assert all(l.b is None for l in mlhp.layers)
     mlgp = build_model("mlgp")
-    assert [l.kind for l in mlgp.layers] == ["geometric", "hypersphere"]
-    assert [l.activation for l in mlgp.layers] == ["identity", "identity"]
+    assert [l.group for l in mlgp.layers] == [3, 4]
+    assert all(l.b is None for l in mlgp.layers)
     for model in (mlp, mlhp, mlgp):
         assert model.theta.dtype == np.float64
         assert all(np.shares_memory(l.w, model.theta) for l in model.layers)
@@ -150,7 +151,11 @@ def test_transform_isometry_survives_nonlinear_activation():
     pts = rng.uniform(-3, 3, (8, 4, 3))
     _, base = forward(model, pts)
     _, got = forward(moved, motion.apply(pts))
-    assert np.max(np.abs(got[0].pre_act - base[0].pre_act)) <= 1e-9
+    # the traces hold each layer's input, so W @ trace[0] is the first layer's
+    # pre-activations
+    pre_base = model.layers[0].w @ base[0]
+    pre_got = moved.layers[0].w @ got[0]
+    assert np.max(np.abs(pre_got - pre_base)) <= 1e-9
 
 
 def test_transform_inverse_restores_weights():
@@ -211,6 +216,10 @@ def test_checkpoint_rejects_bad_files(tmp_path):
     path.write_text('{"format": "other"}\n')
     with pytest.raises(ValueError):
         load_checkpoint(path)
+    # a file that is not JSON names itself too
+    path.write_text("{bad\n")
+    with pytest.raises(ValueError, match="bad.json"):
+        load_checkpoint(path)
     model = build_model("mlp")
     with pytest.raises(ValueError):
         save_checkpoint(tmp_path / "x.json", "nope", model)
@@ -222,24 +231,35 @@ def _rewrite_checkpoint(path, edit):
     path.write_text(json.dumps(doc))
 
 
-def test_checkpoint_rejects_missing_key(tmp_path):
-    path = tmp_path / "ckpt.json"
+def _rejected(path, edit, match):
+    """Save an mlgp checkpoint, edit its JSON, and check the one-line error."""
     save_checkpoint(path, "mlgp", build_model("mlgp"), adam_step=5)
-    _rewrite_checkpoint(path, lambda doc: doc.pop("adam_step"))
-    with pytest.raises(ValueError, match="adam_step"):
+    _rewrite_checkpoint(path, edit)
+    with pytest.raises(ValueError, match=match) as info:
         load_checkpoint(path)
+    message = str(info.value)
+    assert str(path) in message and "\n" not in message
+
+
+def test_checkpoint_is_format_kind_step_and_theta(tmp_path):
+    path = tmp_path / "ckpt.json"
+    model = build_model("mlgp", np.random.default_rng(10))
+    save_checkpoint(path, "mlgp", model, adam_step=5)
+    doc = json.loads(path.read_text())
+    assert doc == {"format": "mlgp-checkpoint-v2", "model": "mlgp", "adam_step": 5,
+                   "theta": model.theta.tolist()}
+
+
+def test_checkpoint_rejects_missing_key(tmp_path):
+    for key in ("model", "adam_step", "theta"):
+        _rejected(tmp_path / "ckpt.json", lambda doc: doc.pop(key), key)
 
 
 def test_checkpoint_rejects_non_finite_weight(tmp_path):
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(path, "mlgp", build_model("mlgp"))
-
     def poison(doc):
-        doc["layers"][1]["weights"][0][0] = float("nan")
+        doc["theta"][100] = float("nan")
 
-    _rewrite_checkpoint(path, poison)
-    with pytest.raises(ValueError, match="finite"):
-        load_checkpoint(path)
+    _rejected(tmp_path / "ckpt.json", poison, "finite")
     # and a non-finite weight never gets written in the first place
     model = build_model("mlgp")
     model.layers[0].w[0, 0] = np.inf
@@ -247,31 +267,42 @@ def test_checkpoint_rejects_non_finite_weight(tmp_path):
         save_checkpoint(tmp_path / "inf.json", "mlgp", model)
 
 
-def test_checkpoint_rejects_unchained_widths(tmp_path):
-    # a 20 -> 4 geometric layer feeding a hypersphere layer that takes 5 inputs
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(path, "mlgp", build_model("mlgp"))
+def test_checkpoint_rejects_non_numeric_or_ragged_theta(tmp_path):
+    # the writer only writes floats, so an integer entry marks a hand edit
+    for bad in ("abc", [1.0], True, 0, None):
+        def poison(doc):
+            doc["theta"][3] = bad
 
-    def widen(doc):
-        doc["layers"][1]["in_dim"] = 7
-        doc["layers"][1]["weights"] = [[0.0] * 7] * 8
-
-    _rewrite_checkpoint(path, widen)
-    with pytest.raises(ValueError, match="architecture"):
-        load_checkpoint(path)
+        _rejected(tmp_path / "ckpt.json", poison, "finite")
+    _rejected(tmp_path / "ckpt.json", lambda doc: doc.update(theta="abc"), "finite")
 
 
-def test_checkpoint_rejects_layers_of_another_architecture(tmp_path):
+def test_checkpoint_rejects_theta_of_another_models_size(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, "mlhp", build_model("mlhp"))
     _rewrite_checkpoint(path, lambda doc: doc.update(model="mlgp"))
-    with pytest.raises(ValueError, match="architecture"):
+    with pytest.raises(ValueError, match="size 128") as info:
         load_checkpoint(path)
-    # a bias on a layer that has none
-    save_checkpoint(path, "mlgp", build_model("mlgp"))
-    _rewrite_checkpoint(path, lambda doc: doc["layers"][0].update(bias=0.0))
-    with pytest.raises(ValueError, match="bias"):
-        load_checkpoint(path)
+    assert str(path) in str(info.value)
+    _rejected(path, lambda doc: doc["theta"].pop(), "size 128")
+
+
+def test_checkpoint_rejects_non_integer_adam_step_string(tmp_path):
+    for bad in ("abc", "5"):
+        _rejected(tmp_path / "ckpt.json", lambda doc: doc.update(adam_step=bad), "adam_step")
+
+
+def test_checkpoint_rejects_fractional_negative_or_bool_adam_step(tmp_path):
+    for bad in (2.7, 5.0, -3, True):
+        _rejected(tmp_path / "ckpt.json", lambda doc: doc.update(adam_step=bad), "adam_step")
+
+
+def test_save_checkpoint_rejects_negative_step(tmp_path):
+    path = tmp_path / "ckpt.json"
+    for bad in (-4, 2.7):
+        with pytest.raises(ValueError, match="adam_step"):
+            save_checkpoint(path, "mlgp", build_model("mlgp"), adam_step=bad)
+    assert not path.exists()
 
 
 def test_save_checkpoint_rejects_another_kind(tmp_path):

@@ -107,7 +107,9 @@ def test_geometric_unit_from_planted_spheres():
             g * (-0.5 * np.sum((p - c) ** 2) + 0.5 * r * r)
             for g, c, r, p in zip(gammas, centers, radii, pts)
         )
-        got = float(trace[0].pre_act[0, 0])  # (out_dim, batch)
+        # the first layer's pre-activations are its weights times its traced
+        # (in_dim, batch) input
+        got = float((model.layers[0].w @ trace[0])[0, 0])
         assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
 
@@ -117,10 +119,9 @@ def test_forward_zero_weights_and_shapes():
     logits, trace = forward(model, pts)
     assert np.array_equal(logits, np.zeros((1, 8)))
     assert len(trace) == 2
-    # the trace is feature-major: (in_dim, batch) and (out_dim, batch)
-    assert trace[0].embedded.shape == (20, 1)
-    assert trace[0].pre_act.shape == (4, 1)
-    assert trace[1].embedded.shape == (6, 1)
+    # the trace is each layer's feature-major (in_dim, batch) input
+    assert trace[0].shape == (20, 1)
+    assert trace[1].shape == (6, 1)
     # one bare (4, 3) shape is not a batch; nor is a (5, 3) one
     for bad in (pts[0], np.zeros((5, 3))):
         with pytest.raises(ValueError, match="expects 12 inputs"):
@@ -185,8 +186,8 @@ def test_activations():
     pts = np.random.default_rng(27).uniform(-3, 3, (3, 4, 3))
     logits, trace = forward(model, pts)
     hidden = np.array([0.0, 0.0, 2.0, 0.0, 0.5, 0.0])
-    assert np.array_equal(trace[1].embedded, np.tile(hidden[:, None], 3))
-    assert np.array_equal(logits, trace[1].pre_act.T)
+    assert np.array_equal(trace[1], np.tile(hidden[:, None], 3))
+    assert np.array_equal(logits, (second.w @ trace[1] + second.b[:, None]).T)
     grads = Model("mlp", backward(model, trace, np.ones((3, 8)))).layers
     live = first.b > 0.0
     assert not grads[0].w[~live].any() and not grads[0].b[~live].any()
@@ -389,7 +390,9 @@ def reference_fit(model, points, labels, epochs, lr=0.001, b1=0.9, b2=0.999, eps
     """Full-batch Adam with every array laid out (batch, features).
 
     The textbook formulas, written independently of the package's feature-
-    major core: forward, softmax cross-entropy, backward and Adam.
+    major core: forward, softmax cross-entropy, backward and Adam.  A hidden
+    input is lifted when its layer has a group and passed through a ReLU
+    when it has none.
     """
     theta = model.theta
     m, v = np.zeros_like(theta), np.zeros_like(theta)
@@ -398,11 +401,11 @@ def reference_fit(model, points, labels, epochs, lr=0.001, b1=0.9, b2=0.999, eps
     for t in range(1, epochs + 1):
         x = points.reshape(len(points), -1)
         trace = []
-        for layer in model.layers:
-            e = reference_lift(x, layer.group)
-            z = e @ layer.w.T + (0.0 if layer.b is None else layer.b)
-            trace.append((x, e, z))
-            x = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        for i, layer in enumerate(model.layers):
+            relu = i > 0 and not layer.group
+            e = np.maximum(x, 0.0) if relu else reference_lift(x, layer.group)
+            trace.append((x, e, relu))
+            x = e @ layer.w.T + (0.0 if layer.b is None else layer.b)
         shifted = x - x.max(axis=1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         losses.append(-log_probs[rows, labels].mean())
@@ -410,13 +413,14 @@ def reference_fit(model, points, labels, epochs, lr=0.001, b1=0.9, b2=0.999, eps
         d[rows, labels] -= 1.0
         d /= len(rows)
         parts = []
-        for layer, (x_in, e, z) in reversed(list(zip(model.layers, trace))):
-            dz = d * (z > 0.0) if layer.activation == "relu" else d
+        for layer, (x_in, e, relu) in reversed(list(zip(model.layers, trace))):
             if layer.b is not None:
-                parts.append(dz.sum(axis=0))
-            parts.append((dz.T @ e).ravel())
-            d = dz @ layer.w
-            if layer.group:
+                parts.append(d.sum(axis=0))
+            parts.append((d.T @ e).ravel())
+            d = d @ layer.w
+            if relu:
+                d = d * (x_in > 0.0)
+            elif layer.group:
                 blocks = d.reshape(len(d), -1, layer.group + 2)
                 g = x_in.reshape(len(x_in), -1, layer.group)
                 d = (blocks[..., : layer.group] - blocks[..., -1:] * g).reshape(x_in.shape)
