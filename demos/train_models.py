@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from mlgp import MODEL_KINDS, accuracy, build_model, fit, make_dataset, param_count
+from mlgp import MODEL_KINDS, accuracy, build_model, fit, make_dataset
 
 EPOCHS = 10000
 
@@ -27,7 +27,7 @@ for kind in MODEL_KINDS:
     wall = time.perf_counter() - start
     acc = accuracy(model, test_set.points, test_set.labels)
     print(
-        f"{kind:6s} {param_count(model):6d} {losses[-1]:8.4f} "
+        f"{kind:6s} {model.theta.size:6d} {losses[-1]:8.4f} "
         f"{acc * 100:8.2f}% {wall:5.1f}s"
     )
 

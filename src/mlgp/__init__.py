@@ -23,7 +23,7 @@ from .conformal import (
     sphere_from_center_radius,
 )
 from .experiment import ProtocolConfig, export_spheres, fit, isometry_test, run_protocol
-from .models import MODEL_KINDS, accuracy, build_model, param_count, transform_mlgp_weights
+from .models import MODEL_KINDS, accuracy, build_model, transform_mlgp_weights
 from .nn import forward
 from .tetris import (
     SHAPE_NAMES,

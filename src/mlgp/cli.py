@@ -111,26 +111,15 @@ def _cmd_train(args):
     train_set = tetris.load_dataset(args.train_path)
     rng = np.random.default_rng(args.seed)
     model = models.build_model(args.model, rng)
-    losses = experiment.fit(
-        model,
-        train_set.points,
-        train_set.labels,
-        args.epochs,
-        args.lr,
-        args.beta1,
-        args.beta2,
-    )
+    losses = experiment.fit(model, train_set.points, train_set.labels, args.epochs, args.lr,
+                            args.beta1, args.beta2)
     final_loss = float(losses[-1]) if len(losses) else float("nan")
     print(f"trained {args.model} for {args.epochs} epochs, final loss {final_loss:.6f}")
-    print(
-        "train accuracy "
-        f"{models.accuracy(model, train_set.points, train_set.labels) * 100:.2f}%"
-    )
-    for name, path in (("val", args.val_path), ("test", args.test_path)):
+    for name, path in (("train", args.train_path), ("val", args.val_path),
+                       ("test", args.test_path)):
         if path:
-            data = tetris.load_dataset(path)
-            acc = models.accuracy(model, data.points, data.labels)
-            print(f"{name} accuracy {acc * 100:.2f}%")
+            data = train_set if name == "train" else tetris.load_dataset(path)
+            print(f"{name} accuracy {models.accuracy(model, data.points, data.labels) * 100:.2f}%")
     models.save_checkpoint(args.out, args.model, model, adam_step=args.epochs)
     print(f"checkpoint saved to {args.out}")
     return 0

@@ -105,11 +105,6 @@ def conformal_dot(point_vec, sphere_vec):
     return float(p @ s)
 
 
-def _is_normalized(sphere_vec):
-    """True if the sphere vector is in canonical form (last component 1)."""
-    return float(np.asarray(sphere_vec)[-1]) == 1.0
-
-
 def point_normalize(sphere_vec):
     """Divide a raw sphere vector by its last component.
 
@@ -130,7 +125,7 @@ def extract_center_radius_sq(sphere_vec):
     unmodified.
     """
     s = np.asarray(sphere_vec, dtype=float)
-    if not _is_normalized(s):
+    if float(s[-1]) != 1.0:
         raise ValueError("sphere must be normalized (last component 1)")
     c = s[:-2].copy()
     return c, float(c @ c - 2.0 * s[-2])
@@ -142,7 +137,7 @@ def classify_point(point_vec, sphere_vec):
     Returns "inside", "on", or "outside" by the sign of the incidence
     product, with an |dot| <= ON_SURFACE_TOL band mapped to "on".
     """
-    if not _is_normalized(sphere_vec):
+    if float(np.asarray(sphere_vec)[-1]) != 1.0:
         raise ValueError("sphere must be normalized (last component 1)")
     d = conformal_dot(point_vec, sphere_vec)
     if abs(d) <= ON_SURFACE_TOL:

@@ -21,9 +21,9 @@ import numpy as np
 
 from . import _serialize, tetris
 from .conformal import DegenerateSphereError, extract_center_radius_sq, point_normalize
-from .models import MLGP, MODEL_KINDS, accuracy, build_model, transform_mlgp_weights
-from .nn import (Adam, backward, check_adam_settings, embed_input, forward, one_hot,
-                 softmax_cross_entropy)
+from .models import MLGP, MODEL_KINDS, accuracy, build_model, hits, transform_mlgp_weights
+from .nn import (Adam, backward, check_adam_settings, embed_input, eval_blocks, forward,
+                 one_hot, softmax_cross_entropy)
 from .tetris import make_dataset, sample_motion
 
 MAIN_EXPERIMENT = "main"
@@ -325,21 +325,24 @@ def isometry_test(model, test_set, trials=100, seed=0):
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     pts, labels = test_set.points, test_set.labels
-
-    def scored(m, p):
-        logits, _ = forward(m, p, keep_trace=False)
-        return logits, float(np.mean(np.argmax(logits, axis=1) == labels)) * 100.0
-
-    base_logits, base_acc = scored(model, pts)
+    base_logits, _ = forward(model, pts, keep_trace=False)
+    base_acc = hits(base_logits, labels) / len(pts) * 100.0
     accs = np.empty((len(COMBO_NAMES), trials))
     max_dev = 0.0
     for t in range(trials):
         motion = sample_motion(rng)
-        moved_pts = motion.apply(pts)
         moved_model = transform_mlgp_weights(model, motion)
-        logits_tt, acc_tt = scored(moved_model, moved_pts)
-        max_dev = max(max_dev, float(np.abs(logits_tt - base_logits).max()))
-        accs[:, t] = base_acc, acc_tt, scored(model, moved_pts)[1], scored(moved_model, pts)[1]
+        counts = np.zeros(3, dtype=int)
+        # block by block, so no moved copy of the test set is held; each
+        # moved block is lifted once for both models that score it
+        for cols in eval_blocks(len(pts)):
+            lifted = embed_input(model.layers[0], motion.apply(pts[cols]))
+            logits_tt, _ = forward(moved_model, None, lifted, keep_trace=False)
+            max_dev = max(max_dev, float(np.abs(logits_tt - base_logits[cols]).max()))
+            counts += (hits(logits_tt, labels[cols]),
+                       hits(forward(model, None, lifted, keep_trace=False)[0], labels[cols]),
+                       hits(forward(moved_model, pts[cols], keep_trace=False)[0], labels[cols]))
+        accs[:, t] = base_acc, *(counts / len(pts) * 100.0)
     return IsometryReport(trials, dict(zip(COMBO_NAMES, accs)), max_dev)
 
 

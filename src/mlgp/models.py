@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _serialize
 from .conformal import RigidMotion, motor_matrix_sphere
-from .nn import Layer, forward, softmax
+from .nn import Layer, eval_blocks, forward, softmax
 
 MLP = "mlp"
 MLHP = "mlhp"
@@ -84,10 +84,6 @@ def build_model(kind, rng=None):
     return model
 
 
-def param_count(model):
-    return model.theta.size
-
-
 def transform_mlgp_weights(model, motion):
     """Apply a rigid motion to an mlgp model's geometric first layer.
 
@@ -118,21 +114,34 @@ def predict(model, points):
     return np.argmax(logits, axis=1), softmax(logits)
 
 
+def hits(logits, labels):
+    """How many of the (batch, 8) logits rows have their label as the argmax."""
+    return int(np.count_nonzero(np.argmax(logits, axis=1) == labels))
+
+
 def accuracy(model, points, labels):
-    """Fraction of shapes assigned their true label (see :func:`predict`), in [0, 1]."""
-    logits, _ = forward(model, points, keep_trace=False)
-    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
+    """Fraction of shapes given their true label by :func:`predict`, counted block by block."""
+    points, labels = np.asarray(points, dtype=float), np.asarray(labels)
+    if len(labels) != len(points):
+        raise ValueError(f"got {len(labels)} labels for {len(points)} shapes")
+    total = sum(hits(forward(model, points[cols], keep_trace=False)[0], labels[cols])
+                for cols in eval_blocks(len(points)))
+    return total / len(points)
 
 
 def save_checkpoint(path, kind, model, adam_step=0):
     """Write a model of ``kind`` to a text checkpoint that reloads bit for bit.
 
-    The file is the JSON object ``{"format", "model", "adam_step", "theta"}``.
+    The file is the JSON object ``{"format", "model", "adam_step", "theta"}``;
+    what :func:`load_checkpoint` would reject raises ValueError instead.
     """
     if kind != model.kind:
         raise ValueError(f"cannot save a {model.kind} model as {kind!r}")
-    if not isinstance(adam_step, numbers.Integral) or adam_step < 0:
+    if (isinstance(adam_step, bool) or not isinstance(adam_step, numbers.Integral)
+            or adam_step < 0):
         raise ValueError(f"adam_step must be an integer >= 0, got {adam_step!r}")
+    if not np.isfinite(model.theta).all():
+        raise ValueError(f"cannot write {path}: theta is not finite")
     _serialize.save(path, {"format": CHECKPOINT_FORMAT, "model": kind,
                            "adam_step": int(adam_step), "theta": model.theta})
 

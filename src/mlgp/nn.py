@@ -13,9 +13,9 @@ hidden input.  Gradients pass back through the lift's adjoint, ``lift_grad``.
 Inside :func:`forward`, :func:`backward` and the loss, arrays are laid out as
 (features, batch): the classes are summed over axis 0, and ``dW = dz @ x.T``.
 The boundary stays batch-major: (batch, 4, 3) points, (batch, 8) logits and
-gradients as free ``.T`` views.  Evaluation runs :func:`forward` with
-``keep_trace=False`` and keeps no trace; a fit builds the loss's
-:func:`one_hot` target once, as it never changes.
+gradients as free ``.T`` views.  An evaluation (``keep_trace=False``) keeps
+no trace and runs blocks of at most ``EVAL_BLOCK`` shapes; a fit builds the
+loss's :func:`one_hot` target once, as it never changes.
 """
 
 import numpy as np
@@ -66,6 +66,23 @@ def embed_input(layer, points):
     return lift(_features(points, layer), layer.group).T
 
 
+# the most shapes an evaluation block runs: its temporaries fit in memory
+# that a fit has already mapped
+EVAL_BLOCK = 1024
+
+
+def eval_blocks(n):
+    """Near-equal column slices of ``n`` shapes, at most ``EVAL_BLOCK`` each.
+
+    Inner edges fall on multiples of 64, so BLAS rounds every column as in one
+    whole-batch product (past OpenBLAS's small-matrix limit, over 12,500 mlgp
+    shapes, all but the last n % 8 when n % 8 is 1 to 4).
+    """
+    k, units = max(1, -(-n // EVAL_BLOCK)), -(-n // 64)
+    edges = [min(n, 64 * (units * j // k)) for j in range(k + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def forward(model, points, first_embedded=None, keep_trace=True):
     """Run a model on a batch of shapes, (batch, 4, 3).
 
@@ -73,22 +90,28 @@ def forward(model, points, first_embedded=None, keep_trace=True):
     (in_dim, batch) input its weights multiplied.  Between layers, the next
     layer's lift, or a dense layer's ReLU, is the nonlinearity.  With
     ``keep_trace=False``, for evaluation, the trace is None and the logits
-    are the same.  One shape is a batch of one; a bare (4, 3) shape raises
-    ValueError.
+    are the same, computed block by block (:func:`eval_blocks`).  One shape
+    is a batch of one; a bare (4, 3) shape raises ValueError.
     """
-    # an evaluation forward frees each layer's input once the layer's output
-    # exists, the lifted model input included
-    x = (embed_input(model.layers[0], points) if first_embedded is None else first_embedded).T
+    first = model.layers[0]
+    x = _features(points, first) if first_embedded is None else first_embedded.T
     trace = [] if keep_trace else None
-    for i, layer in enumerate(model.layers):
-        if i:
-            x = lift(x, layer.group) if layer.group else np.maximum(x, 0.0)
+    logits = None if keep_trace else np.empty((model.layers[-1].out_dim, x.shape[1]))
+    # a fit's forward is one whole-batch block, whose trace and logits it keeps
+    for cols in [slice(None)] if keep_trace else eval_blocks(x.shape[1]):
+        h = lift(x[:, cols], first.group) if first_embedded is None else x[:, cols]
+        for i, layer in enumerate(model.layers):
+            if i:
+                h = lift(h, layer.group) if layer.group else np.maximum(h, 0.0)
+            if keep_trace:
+                trace.append(h)
+            h = layer.w @ h
+            if layer.b is not None:
+                h += layer.b[:, None]
         if keep_trace:
-            trace.append(x)
-        x = layer.w @ x
-        if layer.b is not None:
-            x += layer.b[:, None]
-    return x.T, trace
+            return h.T, trace
+        logits[:, cols] = h
+    return logits.T, None
 
 
 def backward(model, trace, d_logits):

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -28,8 +29,9 @@ from mlgp.experiment import (
     summarize_records,
     train,
 )
-from mlgp.models import build_model
-from mlgp.tetris import DATASET_HEADER, THETA_EVAL, make_dataset
+from mlgp.models import MODEL_KINDS, accuracy, build_model, transform_mlgp_weights
+from mlgp.nn import EVAL_BLOCK, forward
+from mlgp.tetris import DATASET_HEADER, THETA_EVAL, make_dataset, sample_motion
 
 TINY = ProtocolConfig(
     runs=2,
@@ -262,6 +264,63 @@ def test_isometry_test_equality_holds():
     base = report.accuracies["original_model_original_data"]
     assert np.ptp(matched) == 0.0
     assert np.array_equal(matched, base)
+
+
+def whole_batch_isometry_test(model, test_set, trials, seed):
+    """The isometry test on whole-batch forwards: each trial moves the whole test set.
+
+    Returns its accuracies by combination and its maximum logit deviation.
+    """
+    rng = np.random.default_rng(seed)
+    pts, labels = test_set.points, test_set.labels
+
+    def scored(m, p):
+        logits, _ = forward(m, p)
+        return logits, float(np.mean(np.argmax(logits, axis=1) == labels)) * 100.0
+
+    base_logits, base_acc = scored(model, pts)
+    accs = np.empty((len(COMBO_NAMES), trials))
+    max_dev = 0.0
+    for t in range(trials):
+        motion = sample_motion(rng)
+        moved_pts = motion.apply(pts)
+        moved_model = transform_mlgp_weights(model, motion)
+        logits_tt, acc_tt = scored(moved_model, moved_pts)
+        max_dev = max(max_dev, float(np.abs(logits_tt - base_logits).max()))
+        accs[:, t] = base_acc, acc_tt, scored(model, moved_pts)[1], scored(moved_model, pts)[1]
+    return dict(zip(COMBO_NAMES, accs)), max_dev
+
+
+def test_isometry_test_matches_the_whole_batch_reference():
+    model = make_small_trained_mlgp()
+    test_set = make_dataset("main", 2 * EVAL_BLOCK + 5, noise_a=0.1, seed=53)
+    report = isometry_test(model, test_set, trials=3, seed=54)
+    accs, max_dev = whole_batch_isometry_test(model, test_set, 3, 54)
+    assert report.max_logit_deviation == max_dev
+    for name in COMBO_NAMES:
+        assert np.array_equal(report.accuracies[name], accs[name]), name
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluation_holds_no_batch_sized_temporaries():
+    # whole-batch scoring of these 50000 shapes peaked at 6.8-14.4 MB
+    # (accuracy) and 25.6 MB (isometry test); a block's temporaries take
+    # well under 1 MB
+    data = make_dataset("main", 50000, seed=55)
+    for kind in MODEL_KINDS:
+        model = build_model(kind, np.random.default_rng(56))
+        assert _peak_bytes(lambda: accuracy(model, data.points, data.labels)) < 1e6, kind
+    model = make_small_trained_mlgp()
+    # the base logits, (50000, 8) floats, are the one batch-sized array
+    assert _peak_bytes(lambda: isometry_test(model, data, trials=2, seed=57)) < 8e6
 
 
 def test_isometry_test_validation():

@@ -12,7 +12,6 @@ from mlgp.models import (
     accuracy,
     build_model,
     load_checkpoint,
-    param_count,
     predict,
     save_checkpoint,
     transform_mlgp_weights,
@@ -28,9 +27,9 @@ def random_motion(rng, t_range=3.0):
 
 
 def test_parameter_counts_match_reference():
-    assert param_count(build_model("mlp")) == 134
-    assert param_count(build_model("mlhp")) == 126
-    assert param_count(build_model("mlgp")) == 128
+    assert build_model("mlp").theta.size == 134
+    assert build_model("mlhp").theta.size == 126
+    assert build_model("mlgp").theta.size == 128
     # and the counts decompose as the architecture arithmetic says
     assert 12 * 6 + 6 + 6 * 8 + 8 == 134
     assert 14 * 5 + 7 * 8 == 126
@@ -80,6 +79,9 @@ def test_accuracy():
         model = build_model(kind, rng)
         want = np.mean(predict(model, data.points)[0] == data.labels)
         assert accuracy(model, data.points, data.labels) == want, kind
+    # one label for 20000 shapes would broadcast against all of them
+    with pytest.raises(ValueError, match="1 labels for 20000 shapes"):
+        accuracy(model, data.points, data.labels[:1])
 
 
 def test_model_copy_is_independent():
@@ -260,11 +262,16 @@ def test_checkpoint_rejects_non_finite_weight(tmp_path):
         doc["theta"][100] = float("nan")
 
     _rejected(tmp_path / "ckpt.json", poison, "finite")
-    # and a non-finite weight never gets written in the first place
+    # and a non-finite weight never gets written in the first place: the
+    # one-line error names the file
+    path = tmp_path / "inf.json"
     model = build_model("mlgp")
-    model.layers[0].w[0, 0] = np.inf
-    with pytest.raises(ValueError):
-        save_checkpoint(tmp_path / "inf.json", "mlgp", model)
+    for bad in (np.inf, np.nan):
+        model.layers[0].w[0, 0] = bad
+        with pytest.raises(ValueError, match="not finite") as info:
+            save_checkpoint(path, "mlgp", model)
+        assert str(path) in str(info.value) and "\n" not in str(info.value)
+    assert not path.exists()
 
 
 def test_checkpoint_rejects_non_numeric_or_ragged_theta(tmp_path):
@@ -299,7 +306,8 @@ def test_checkpoint_rejects_fractional_negative_or_bool_adam_step(tmp_path):
 
 def test_save_checkpoint_rejects_negative_step(tmp_path):
     path = tmp_path / "ckpt.json"
-    for bad in (-4, 2.7):
+    # the loader rejects a JSON true, so the writer rejects a bool
+    for bad in (-4, 2.7, True, False):
         with pytest.raises(ValueError, match="adam_step"):
             save_checkpoint(path, "mlgp", build_model("mlgp"), adam_step=bad)
     assert not path.exists()

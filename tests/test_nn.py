@@ -5,11 +5,13 @@ import pytest
 
 from mlgp.conformal import embed_point, lift, point_normalize, sphere_from_center_radius
 from mlgp.experiment import fit
-from mlgp.models import MODEL_KINDS, Model, build_model
+from mlgp.models import MODEL_KINDS, Model, build_model, predict
 from mlgp.nn import (
+    EVAL_BLOCK,
     Adam,
     backward,
     embed_input,
+    eval_blocks,
     forward,
     one_hot,
     softmax,
@@ -162,6 +164,26 @@ def test_forward_with_precomputed_embedding():
     a, _ = forward(model, batch)
     b, _ = forward(model, batch, first_embedded=first)
     assert np.array_equal(a, b)
+
+
+def test_evaluation_blocks_reproduce_the_traced_forward():
+    # around one and two blocks, the narrow widths of NumPy's matrix-vector
+    # path, and 20000 shapes, past OpenBLAS's small-matrix limit
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-3, 3, (20000, 4, 3))
+    for kind in MODEL_KINDS:
+        model = build_model(kind, rng)
+        for n in (1, 2, 7, 511, 1023, 1024, 1025, 2049, 4099, 20000):
+            blocks = eval_blocks(n)
+            assert blocks[0].start == 0 and blocks[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            assert max(b.stop - b.start for b in blocks) <= EVAL_BLOCK
+            want, _ = forward(model, pts[:n])
+            first = embed_input(model.layers[0], pts[:n])
+            for got, trace in (forward(model, pts[:n], keep_trace=False),
+                               forward(model, None, first, keep_trace=False)):
+                assert trace is None and np.array_equal(got, want), (kind, n)
+            assert np.array_equal(predict(model, pts[:n])[0], np.argmax(want, axis=1))
 
 
 def test_dense_forward_matches_manual():
