@@ -43,7 +43,7 @@ print("4. Over many sampled motions (the quantitative experiment)")
 test_set = make_dataset("main", 2000, seed=12)
 report = isometry_test(model, test_set, trials=25, seed=13)
 for combo in COMBO_NAMES:
-    mean, std = report.mean_std(combo)
-    print(f"   {combo:36s} {mean:6.2f} +- {std:.2f}")
+    accs = report.accuracies[combo]
+    print(f"   {combo:36s} {accs.mean():6.2f} +- {accs.std():.2f}")
 print(f"   max logit deviation across all trials: {report.max_logit_deviation:.2e}")
 print(f"   equality invariant holds: {report.equality_holds}")

@@ -108,18 +108,17 @@ def _cmd_gen_data(args):
 
 
 def _cmd_train(args):
-    train_set = tetris.load_dataset(args.train_path)
+    # every dataset loads before the fit, so a bad --val or --test costs no training
+    paths = {"train": args.train_path, "val": args.val_path, "test": args.test_path}
+    sets = {name: tetris.load_dataset(path) for name, path in paths.items() if path}
     rng = np.random.default_rng(args.seed)
     model = models.build_model(args.model, rng)
-    losses = experiment.fit(model, train_set.points, train_set.labels, args.epochs, args.lr,
-                            args.beta1, args.beta2)
+    losses = experiment.fit(model, sets["train"].points, sets["train"].labels, args.epochs,
+                            args.lr, args.beta1, args.beta2)
     final_loss = float(losses[-1]) if len(losses) else float("nan")
     print(f"trained {args.model} for {args.epochs} epochs, final loss {final_loss:.6f}")
-    for name, path in (("train", args.train_path), ("val", args.val_path),
-                       ("test", args.test_path)):
-        if path:
-            data = train_set if name == "train" else tetris.load_dataset(path)
-            print(f"{name} accuracy {models.accuracy(model, data.points, data.labels) * 100:.2f}%")
+    for name, data in sets.items():
+        print(f"{name} accuracy {models.accuracy(model, data.points, data.labels) * 100:.2f}%")
     models.save_checkpoint(args.out, args.model, model, adam_step=args.epochs)
     print(f"checkpoint saved to {args.out}")
     return 0
@@ -155,9 +154,8 @@ def _cmd_isometry_test(args):
     _, model, _ = models.load_checkpoint(args.checkpoint)
     test_set = tetris.load_dataset(args.test_path)
     report = experiment.isometry_test(model, test_set, args.trials, args.seed)
-    for combo in experiment.COMBO_NAMES:
-        mean, std = report.mean_std(combo)
-        print(f"{combo}: {mean:.2f} +- {std:.2f}")
+    for combo, accs in report.accuracies.items():
+        print(f"{combo}: {accs.mean():.2f} +- {accs.std():.2f}")
     print(f"max logit deviation: {report.max_logit_deviation:.3e}")
     if not report.equality_holds:
         print("invariant failure: weight-space motion changed the outputs", file=sys.stderr)

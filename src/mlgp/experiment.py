@@ -92,13 +92,7 @@ class RunRecord:
 
     def same_outcome(self, other):
         """Equality on everything that determinism promises (not time)."""
-        return (
-            self.run_id == other.run_id
-            and self.model == other.model
-            and self.seed == other.seed
-            and self.val_accuracy == other.val_accuracy
-            and self.test_accuracy == other.test_accuracy
-        )
+        return replace(self, wall_time=0.0) == replace(other, wall_time=0.0)
 
 
 @dataclass(frozen=True)
@@ -142,15 +136,14 @@ def derive_seed(master_seed, *key):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _split_kinds(experiment):
-    if experiment == MAIN_EXPERIMENT:
-        return tetris.MAIN, tetris.MAIN
-    return tetris.THETA_TRAIN, tetris.THETA_EVAL
+# per experiment, the dataset kind it trains on and the kind it validates and tests on
+_SPLIT_KINDS = {MAIN_EXPERIMENT: (tetris.MAIN, tetris.MAIN),
+                THETA_EXPERIMENT: (tetris.THETA_TRAIN, tetris.THETA_EVAL)}
 
 
 def make_test_set(config):
     """The experiment's fixed test set, derived from the master seed only."""
-    _, eval_kind = _split_kinds(config.experiment)
+    _, eval_kind = _SPLIT_KINDS[config.experiment]
     return make_dataset(
         eval_kind, config.test_size, config.noise_a, derive_seed(config.master_seed, 0)
     )
@@ -190,7 +183,7 @@ def train(config, model_kind, seed, test_set, run_id=0):
     The run seed splits into train-data, val-data, and init seeds, so two
     runs differ in both data draw and initialization.
     """
-    train_kind, eval_kind = _split_kinds(config.experiment)
+    train_kind, eval_kind = _SPLIT_KINDS[config.experiment]
     data_seed, val_seed, init_seed = (
         derive_seed(seed, i) for i in range(3)
     )
@@ -297,10 +290,6 @@ class IsometryReport:
     accuracies: dict
     max_logit_deviation: float
 
-    def mean_std(self, combo):
-        a = self.accuracies[combo]
-        return float(a.mean()), float(a.std())
-
     @property
     def equality_holds(self):
         """Weight-space motion mirrors data motion: exact accuracy match."""
@@ -325,8 +314,9 @@ def isometry_test(model, test_set, trials=100, seed=0):
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     pts, labels = test_set.points, test_set.labels
-    base_logits, _ = forward(model, pts, keep_trace=False)
-    base_acc = hits(base_logits, labels) / len(pts) * 100.0
+    blocks = eval_blocks(len(pts))
+    base = [forward(model, pts[cols])[0] for cols in blocks]
+    base_acc = sum(hits(b, labels[cols]) for cols, b in zip(blocks, base)) / len(pts) * 100.0
     accs = np.empty((len(COMBO_NAMES), trials))
     max_dev = 0.0
     for t in range(trials):
@@ -335,13 +325,13 @@ def isometry_test(model, test_set, trials=100, seed=0):
         counts = np.zeros(3, dtype=int)
         # block by block, so no moved copy of the test set is held; each
         # moved block is lifted once for both models that score it
-        for cols in eval_blocks(len(pts)):
+        for cols, base_logits in zip(blocks, base):
             lifted = embed_input(model.layers[0], motion.apply(pts[cols]))
-            logits_tt, _ = forward(moved_model, None, lifted, keep_trace=False)
-            max_dev = max(max_dev, float(np.abs(logits_tt - base_logits[cols]).max()))
+            logits_tt, _ = forward(moved_model, None, lifted)
+            max_dev = max(max_dev, float(np.abs(logits_tt - base_logits).max()))
             counts += (hits(logits_tt, labels[cols]),
-                       hits(forward(model, None, lifted, keep_trace=False)[0], labels[cols]),
-                       hits(forward(moved_model, pts[cols], keep_trace=False)[0], labels[cols]))
+                       hits(forward(model, None, lifted)[0], labels[cols]),
+                       hits(forward(moved_model, pts[cols])[0], labels[cols]))
         accs[:, t] = base_acc, *(counts / len(pts) * 100.0)
     return IsometryReport(trials, dict(zip(COMBO_NAMES, accs)), max_dev)
 

@@ -107,10 +107,11 @@ def transform_mlgp_weights(model, motion):
 def predict(model, points):
     """Class labels (batch,) and softmax probabilities (batch, 8) of shapes.
 
-    ``points`` is a (batch, 4, 3) batch.  The label is the argmax of the
-    logits; ties among the logits go to the lowest label.
+    ``points`` is a (batch, 4, 3) batch, run block by block.  The label is the
+    argmax of the logits; ties among the logits go to the lowest label.
     """
-    logits, _ = forward(model, points, keep_trace=False)
+    points = np.asarray(points, dtype=float)
+    logits = np.concatenate([forward(model, points[cols])[0] for cols in eval_blocks(len(points))])
     return np.argmax(logits, axis=1), softmax(logits)
 
 
@@ -124,7 +125,7 @@ def accuracy(model, points, labels):
     points, labels = np.asarray(points, dtype=float), np.asarray(labels)
     if len(labels) != len(points):
         raise ValueError(f"got {len(labels)} labels for {len(points)} shapes")
-    total = sum(hits(forward(model, points[cols], keep_trace=False)[0], labels[cols])
+    total = sum(hits(forward(model, points[cols])[0], labels[cols])
                 for cols in eval_blocks(len(points)))
     return total / len(points)
 

@@ -13,9 +13,10 @@ hidden input.  Gradients pass back through the lift's adjoint, ``lift_grad``.
 Inside :func:`forward`, :func:`backward` and the loss, arrays are laid out as
 (features, batch): the classes are summed over axis 0, and ``dW = dz @ x.T``.
 The boundary stays batch-major: (batch, 4, 3) points, (batch, 8) logits and
-gradients as free ``.T`` views.  An evaluation (``keep_trace=False``) keeps
-no trace and runs blocks of at most ``EVAL_BLOCK`` shapes; a fit builds the
-loss's :func:`one_hot` target once, as it never changes.
+gradients as free ``.T`` views.  :func:`forward` is one pass over the batch it
+is given; large sets are scored in blocks of at most ``EVAL_BLOCK`` shapes
+(:func:`eval_blocks`) by ``models.accuracy``, ``models.predict`` and the
+isometry test.  A fit builds the loss's :func:`one_hot` target once.
 """
 
 import numpy as np
@@ -83,35 +84,27 @@ def eval_blocks(n):
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def forward(model, points, first_embedded=None, keep_trace=True):
-    """Run a model on a batch of shapes, (batch, 4, 3).
+def forward(model, points, first_embedded=None):
+    """Run a model on a batch of shapes, (batch, 4, 3), in one pass.
 
     Returns ``(logits, trace)``: (batch, 8) logits and, per layer, the
     (in_dim, batch) input its weights multiplied.  Between layers, the next
-    layer's lift, or a dense layer's ReLU, is the nonlinearity.  With
-    ``keep_trace=False``, for evaluation, the trace is None and the logits
-    are the same, computed block by block (:func:`eval_blocks`).  One shape
-    is a batch of one; a bare (4, 3) shape raises ValueError.
+    layer's lift, or a dense layer's ReLU, is the nonlinearity.  The pass
+    holds batch-sized temporaries, so large sets go through ``accuracy``,
+    ``predict`` or :func:`eval_blocks`.  One shape is a batch of one; a bare
+    (4, 3) shape raises ValueError.
     """
     first = model.layers[0]
-    x = _features(points, first) if first_embedded is None else first_embedded.T
-    trace = [] if keep_trace else None
-    logits = None if keep_trace else np.empty((model.layers[-1].out_dim, x.shape[1]))
-    # a fit's forward is one whole-batch block, whose trace and logits it keeps
-    for cols in [slice(None)] if keep_trace else eval_blocks(x.shape[1]):
-        h = lift(x[:, cols], first.group) if first_embedded is None else x[:, cols]
-        for i, layer in enumerate(model.layers):
-            if i:
-                h = lift(h, layer.group) if layer.group else np.maximum(h, 0.0)
-            if keep_trace:
-                trace.append(h)
-            h = layer.w @ h
-            if layer.b is not None:
-                h += layer.b[:, None]
-        if keep_trace:
-            return h.T, trace
-        logits[:, cols] = h
-    return logits.T, None
+    h = lift(_features(points, first), first.group) if first_embedded is None else first_embedded.T
+    trace = []
+    for i, layer in enumerate(model.layers):
+        if i:
+            h = lift(h, layer.group) if layer.group else np.maximum(h, 0.0)
+        trace.append(h)
+        h = layer.w @ h
+        if layer.b is not None:
+            h += layer.b[:, None]
+    return h.T, trace
 
 
 def backward(model, trace, d_logits):

@@ -194,13 +194,15 @@ def save_dataset(dataset, path):
 
 
 def load_dataset(path):
-    """Read a dataset written by :func:`save_dataset`."""
+    """Read a dataset written by :func:`save_dataset`; it holds at least one shape."""
     labels, coords = [], []
     for label, *xyz in _serialize.load_table(path, DATASET_HEADER, _DATASET_TYPES):
         if not 0 <= label < NUM_CLASSES:
             raise ValueError(f"label {label} out of range in {path}")
         labels.append(label)
         coords.append(xyz)
+    if not labels:
+        raise ValueError(f"no shapes in {path}")
     points = np.asarray(coords, dtype=float).reshape(-1, POINTS_PER_SHAPE, 3)
     if not np.all(np.isfinite(points)):
         raise ValueError(f"non-finite coordinate in {path}")

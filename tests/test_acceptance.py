@@ -228,7 +228,7 @@ def test_criterion_11_isometry_experiment(capsys, main_protocol):
     # the untransformed baseline (np.std on identical values leaves ~1e-14
     # of mean-subtraction rounding, so assert exact equality instead)
     exact = np.array_equal(match, base) and float(np.ptp(match)) == 0.0
-    cross = [rep.mean_std(COMBO_NAMES[2]), rep.mean_std(COMBO_NAMES[3])]
+    cross = [(rep.accuracies[c].mean(), rep.accuracies[c].std()) for c in COMBO_NAMES[2:]]
     base_acc = float(base[0])
     passed = (
         exact

@@ -6,7 +6,7 @@ import pytest
 from mlgp.cli import main
 from mlgp.experiment import RECORDS_HEADER, RESULTS_HEADER, load_records, load_results
 from mlgp.models import build_model, load_checkpoint
-from mlgp.tetris import load_dataset
+from mlgp.tetris import DATASET_HEADER, load_dataset
 from mlgp import _serialize
 
 
@@ -61,6 +61,35 @@ def test_train_and_checkpoint(tmp_path, capsys):
 def test_train_missing_file_fails(tmp_path):
     assert run("train", "--model", "mlp", "--train", tmp_path / "none.csv",
                "--out", tmp_path / "x.json") == 1
+
+
+def test_train_loads_every_dataset_before_the_fit(tmp_path, capsys):
+    data = tmp_path / "train.csv"
+    ckpt = tmp_path / "model.json"
+    assert run("gen-data", "--size", "16", "--seed", "1", "--out", data) == 0
+    capsys.readouterr()
+    assert run("train", "--model", "mlp", "--train", data, "--test", tmp_path / "none.csv",
+               "--epochs", "5", "--out", ckpt) == 1
+    assert one_line_error(capsys)
+    assert not ckpt.exists()
+
+
+def test_train_and_isometry_test_reject_a_dataset_with_no_shapes(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(DATASET_HEADER + "\n")
+    data = tmp_path / "train.csv"
+    ckpt = tmp_path / "model.json"
+    assert run("gen-data", "--size", "16", "--seed", "1", "--out", data) == 0
+    capsys.readouterr()
+    for argv in (["--train", empty], ["--train", data, "--test", empty]):
+        assert run("train", "--model", "mlgp", *argv, "--epochs", "5", "--out", ckpt) == 1
+        assert capsys.readouterr().err == f"error: no shapes in {empty}\n"
+        assert not ckpt.exists()
+    assert run("train", "--model", "mlgp", "--train", data, "--epochs", "5",
+               "--out", ckpt) == 0
+    capsys.readouterr()
+    assert run("isometry-test", "--checkpoint", ckpt, "--test", empty) == 1
+    assert capsys.readouterr().err == f"error: no shapes in {empty}\n"
 
 
 def test_protocol(tmp_path, capsys):

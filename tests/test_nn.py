@@ -5,7 +5,7 @@ import pytest
 
 from mlgp.conformal import embed_point, lift, point_normalize, sphere_from_center_radius
 from mlgp.experiment import fit
-from mlgp.models import MODEL_KINDS, Model, build_model, predict
+from mlgp.models import MODEL_KINDS, Model, accuracy, build_model, predict
 from mlgp.nn import (
     EVAL_BLOCK,
     Adam,
@@ -151,9 +151,6 @@ def test_forward_batch_matches_single():
         for i in range(5):
             single, _ = forward(model, batch[i : i + 1])
             assert np.allclose(logits[i], single[0], atol=1e-12)
-        # an evaluation forward keeps no trace and gives the same logits
-        untraced, trace = forward(model, batch, keep_trace=False)
-        assert trace is None and np.array_equal(untraced, logits)
 
 
 def test_forward_with_precomputed_embedding():
@@ -171,6 +168,7 @@ def test_evaluation_blocks_reproduce_the_traced_forward():
     # path, and 20000 shapes, past OpenBLAS's small-matrix limit
     rng = np.random.default_rng(11)
     pts = rng.uniform(-3, 3, (20000, 4, 3))
+    labels = rng.integers(0, 8, 20000)
     for kind in MODEL_KINDS:
         model = build_model(kind, rng)
         for n in (1, 2, 7, 511, 1023, 1024, 1025, 2049, 4099, 20000):
@@ -180,10 +178,16 @@ def test_evaluation_blocks_reproduce_the_traced_forward():
             assert max(b.stop - b.start for b in blocks) <= EVAL_BLOCK
             want, _ = forward(model, pts[:n])
             first = embed_input(model.layers[0], pts[:n])
-            for got, trace in (forward(model, pts[:n], keep_trace=False),
-                               forward(model, None, first, keep_trace=False)):
-                assert trace is None and np.array_equal(got, want), (kind, n)
-            assert np.array_equal(predict(model, pts[:n])[0], np.argmax(want, axis=1))
+            # block by block, from the points or from their first-layer lift
+            by_points = [forward(model, pts[c])[0] for c in blocks]
+            by_lift = [forward(model, None, first[c])[0] for c in blocks]
+            for got in (by_points, by_lift):
+                assert np.array_equal(np.concatenate(got), want), (kind, n)
+            got_labels, probs = predict(model, pts[:n])
+            assert np.array_equal(got_labels, np.argmax(want, axis=1)), (kind, n)
+            assert np.array_equal(probs, softmax(want)), (kind, n)
+            hit_count = np.count_nonzero(np.argmax(want, axis=1) == labels[:n])
+            assert accuracy(model, pts[:n], labels[:n]) == hit_count / n, (kind, n)
 
 
 def test_dense_forward_matches_manual():

@@ -254,9 +254,9 @@ def test_dataset_roundtrip_bit_exact(tmp_path):
 def test_load_dataset_validation(tmp_path):
     path = tmp_path / "bad.csv"
     zeros = ",".join(["0"] * 12)
-    # a wrong header, a short row, a long row, a label out of range
+    # a wrong header, a short row, a long row, a label out of range, no shapes
     for text in ("nope\n", f"{DATASET_HEADER}\n1,2,3\n", f"{DATASET_HEADER}\n1,{zeros},0\n",
-                 f"{DATASET_HEADER}\n9,{zeros}\n"):
+                 f"{DATASET_HEADER}\n9,{zeros}\n", f"{DATASET_HEADER}\n"):
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(str(path))) as err:
             load_dataset(path)
