@@ -12,7 +12,7 @@ Protocol and Adam flags take their defaults from
 :class:`mlgp.experiment.ProtocolConfig`, the reference protocol, and each
 protocol flag stores to the field it sets; ``--desk-scale`` shrinks the
 protocol to 5 runs and a 10000-sample test set.  Exit status is nonzero
-when an invariant check fails.
+when an invariant check fails or a training fit diverges.
 """
 
 import argparse
@@ -113,8 +113,14 @@ def _cmd_train(args):
     sets = {name: tetris.load_dataset(path) for name, path in paths.items() if path}
     rng = np.random.default_rng(args.seed)
     model = models.build_model(args.model, rng)
-    losses = experiment.fit(model, sets["train"].points, sets["train"].labels, args.epochs,
-                            args.lr, args.beta1, args.beta2)
+    # a diverging fit overflows on its way to NaN; it is reported below instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = experiment.fit(model, sets["train"].points, sets["train"].labels, args.epochs,
+                                args.lr, args.beta1, args.beta2)
+    if not np.all(np.isfinite(losses)):
+        epoch = int(np.argmin(np.isfinite(losses)))
+        raise ValueError(f"training diverged at epoch {epoch + 1} (loss {losses[epoch]}); "
+                         f"no checkpoint written to {args.out}")
     final_loss = float(losses[-1]) if len(losses) else float("nan")
     print(f"trained {args.model} for {args.epochs} epochs, final loss {final_loss:.6f}")
     for name, data in sets.items():

@@ -192,25 +192,12 @@ def train(config, model_kind, seed, test_set, run_id=0):
     rng = np.random.default_rng(init_seed)
     model = build_model(model_kind, rng)
     start = time.perf_counter()
-    fit(
-        model,
-        train_set.points,
-        train_set.labels,
-        config.epochs,
-        config.lr,
-        config.beta1,
-        config.beta2,
-    )
+    fit(model, train_set.points, train_set.labels, config.epochs,
+        config.lr, config.beta1, config.beta2)
     wall = time.perf_counter() - start
-    record = RunRecord(
-        run_id=run_id,
-        model=model_kind,
-        seed=seed,
-        val_accuracy=accuracy(model, val_set.points, val_set.labels),
-        test_accuracy=accuracy(model, test_set.points, test_set.labels),
-        wall_time=wall,
-    )
-    return model, record
+    val_acc = accuracy(model, val_set.points, val_set.labels)
+    test_acc = accuracy(model, test_set.points, test_set.labels)
+    return model, RunRecord(run_id, model_kind, seed, val_acc, test_acc, wall)
 
 
 def summarize_records(records, config):

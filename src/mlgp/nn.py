@@ -16,7 +16,9 @@ The boundary stays batch-major: (batch, 4, 3) points, (batch, 8) logits and
 gradients as free ``.T`` views.  :func:`forward` is one pass over the batch it
 is given; large sets are scored in blocks of at most ``EVAL_BLOCK`` shapes
 (:func:`eval_blocks`) by ``models.accuracy``, ``models.predict`` and the
-isometry test.  A fit builds the loss's :func:`one_hot` target once.
+isometry test.  A fit builds the loss's :func:`one_hot` target once; the loss
+takes one ``exp``, floored at ``EXP_FLOOR``, and :class:`Adam` steps in the
+efficient form of Kingma & Ba's section 2.
 """
 
 import numpy as np
@@ -134,10 +136,23 @@ def _class_major(values):
     return np.ascontiguousarray(np.asarray(values, dtype=float).T)
 
 
+# exp(-600) ~ 2.6e-261 is far under one ulp of a column's sum s >= 1, and over
+# n * s it stays a normal double for n < 10**40; the floor keeps exp off NumPy's
+# slow path for subnormal results (inputs under -708), which long fits reach
+EXP_FLOOR = -600.0
+
+
+def _shifted_exp(z):
+    """(8, batch) ``z`` less its column maxima, and its exp floored at ``EXP_FLOOR``."""
+    shifted = z - z.max(axis=0)
+    # np.maximum, unlike np.fmax, passes a NaN on: a diverged run stays NaN
+    e = np.maximum(shifted, EXP_FLOOR)
+    return shifted, np.exp(e, out=e)
+
+
 def softmax(logits):
     """Softmax over the classes of (batch, 8) logits."""
-    z = _class_major(logits)
-    p = np.exp(z - z.max(axis=0))
+    _, p = _shifted_exp(_class_major(logits))
     p /= p.sum(axis=0)
     return p.T
 
@@ -160,24 +175,25 @@ def one_hot(labels):
 def softmax_cross_entropy(logits, labels):
     """Mean cross-entropy of (batch, 8) logits and its gradient.
 
-    ``labels`` is a (batch,) vector of integers in 0..7 or its
-    :func:`one_hot`.  Returns the mean loss over the batch and its (batch, 8)
-    gradient with respect to the logits, ``(softmax - onehot) / batch``.
+    ``labels`` is a (batch,) vector of integers in 0..7 or its :func:`one_hot`.
+    Returns the mean loss and its (batch, 8) gradient with respect to the
+    logits, ``(softmax - onehot) / batch``.  One ``exp``, floored, serves both;
+    the loss reads the unfloored logits, so a wrong label adds its exact loss.
     """
     z = _class_major(logits)
     n = z.shape[1]
     target = (one_hot(labels) if np.ndim(labels) == 1 else labels).T
-    log_probs = z - z.max(axis=0)
-    log_probs -= np.log(np.exp(log_probs).sum(axis=0))
-    # each column adds seven exact zeros to its label's log-probability
-    loss = float(-(log_probs * target).sum(axis=0).sum() / n)
-    d = np.exp(log_probs, out=log_probs)
-    d -= target
-    d /= n
-    return loss, d.T
+    shifted, e = _shifted_exp(z)
+    s = e.sum(axis=0)
+    # the target picks each column's label: log(s) less its shifted logit
+    loss = float((np.log(s).sum() - np.vdot(shifted, target)) / n)
+    e *= 1.0 / (n * s)
+    e -= target * (1.0 / n)
+    return loss, e.T
 
 
-# added to the root of the second-moment estimate (Kingma & Ba's value)
+# Kingma & Ba's epsilon on the root of the bias-corrected second moment; their
+# section 2 form that Adam.step takes keeps this textbook meaning
 EPS = 1e-8
 
 
@@ -191,7 +207,11 @@ def check_adam_settings(lr, beta1, beta2):
 
 
 class Adam:
-    """Bias-corrected Adam (Kingma & Ba, arXiv 1412.6980), in place on ``theta``."""
+    """Bias-corrected Adam (Kingma & Ba, arXiv 1412.6980), in place on ``theta``.
+
+    A step takes the efficient form of their section 2, with ``EPS`` scaled by
+    sqrt(1 - beta2**t): the textbook update, so ``EPS`` keeps its meaning.
+    """
 
     def __init__(self, theta, lr, beta1, beta2):
         check_adam_settings(lr, beta1, beta2)
@@ -209,6 +229,6 @@ class Adam:
         self.m += (1.0 - self.beta1) * grad
         self.v *= self.beta2
         self.v += (1.0 - self.beta2) * (grad * grad)
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        self.theta -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
+        root = (1.0 - self.beta2**self.t) ** 0.5
+        alpha = self.lr * root / (1.0 - self.beta1**self.t)
+        self.theta -= alpha * self.m / (np.sqrt(self.v) + EPS * root)

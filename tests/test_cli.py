@@ -143,6 +143,20 @@ def test_train_rejects_negative_epochs(tmp_path, capsys):
     assert not ckpt.exists()
 
 
+def test_train_reports_a_diverged_fit(tmp_path, capsys):
+    data = tmp_path / "train.csv"
+    ckpt = tmp_path / "model.json"
+    run("gen-data", "--size", "64", "--seed", "1", "--out", data)
+    capsys.readouterr()
+    assert run("train", "--model", "mlhp", "--train", data, "--epochs", "300",
+               "--lr", "1e300", "--out", ckpt) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == (f"error: training diverged at epoch 2 (loss nan); "
+                            f"no checkpoint written to {ckpt}\n")
+    assert not ckpt.exists()
+
+
 def test_train_and_protocol_reject_bad_adam_settings(tmp_path, capsys):
     data = tmp_path / "train.csv"
     ckpt = tmp_path / "model.json"

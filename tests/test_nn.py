@@ -1,5 +1,7 @@
 """Tests for layers, embeddings, gradients, loss, and the optimizer."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from mlgp.conformal import embed_point, lift, point_normalize, sphere_from_cente
 from mlgp.experiment import fit
 from mlgp.models import MODEL_KINDS, Model, accuracy, build_model, predict
 from mlgp.nn import (
+    EPS,
     EVAL_BLOCK,
+    EXP_FLOOR,
     Adam,
     backward,
     embed_input,
@@ -266,6 +270,49 @@ def test_cross_entropy_batch_matches_singles():
         assert np.allclose(d[i], singles[i][1][0] / 6.0, atol=1e-12)
 
 
+def test_cross_entropy_with_far_spread_logits_matches_an_exact_reference():
+    # columns spread 10^3 to 10^4 apart: shifted logits from 0 down through
+    # exp's subnormal range (-708 to -745) to far below EXP_FLOOR
+    rng = np.random.default_rng(28)
+    n = 6
+    offsets = np.array([0.0, -1.3, -40.0, -650.0, -720.0, -740.0, -1000.0, 0.0])
+    z = np.empty((n, 8))
+    for i in range(n):
+        offsets[-1] = -rng.uniform(1e3, 1e4)
+        z[i] = rng.uniform(-5, 5) + rng.permutation(offsets)
+    # labels at each column's top logit, a runner-up and a confidently wrong one
+    ranked = np.argsort(-z, axis=1)
+    labels = np.array([ranked[i, (0, 1, 7)[i % 3]] for i in range(n)])
+    loss, d = softmax_cross_entropy(z, labels)
+
+    ref_terms, ref_grad = [], np.empty((n, 8))
+    for i in range(n):
+        shifted = [float(v) - float(z[i].max()) for v in z[i]]
+        s = math.fsum(math.exp(v) for v in shifted)
+        ref_terms.append(math.log(s) - shifted[labels[i]])
+        ref_grad[i] = [(math.exp(v) / s - (k == labels[i])) / n for k, v in enumerate(shifted)]
+    ref_loss = math.fsum(ref_terms) / n
+    assert abs(loss - ref_loss) <= 1e-14 * abs(ref_loss)
+    # the floor adds at most exp(EXP_FLOOR) / n, far under rounding at scale 1/n
+    assert np.all(np.abs(d - ref_grad) <= 1e-15 / n + 1e-14 * np.abs(ref_grad))
+    # entries below the floor keep exp(EXP_FLOOR) / (n * s), with s <= 8
+    floored = z - z.max(axis=1, keepdims=True) < EXP_FLOOR
+    assert floored.any() and np.all(np.abs(d[floored]) >= math.exp(EXP_FLOOR) / (8 * n))
+    # and no entry is subnormal, the results that take exp's slow path
+    assert not np.any((d != 0.0) & (np.abs(d) < np.finfo(float).tiny))
+
+
+def test_nan_logits_give_a_nan_loss_gradient_and_softmax():
+    # a diverged run must stay visible: the floor must not turn NaN into a number
+    logits = np.random.default_rng(29).uniform(-3, 3, (3, 8))
+    logits[1, 4] = np.nan
+    loss, d = softmax_cross_entropy(logits, [0, 1, 2])
+    assert math.isnan(loss)
+    assert np.all(np.isnan(d[1])) and np.all(np.isfinite(d[[0, 2]]))
+    p = softmax(logits)
+    assert np.all(np.isnan(p[1])) and np.all(np.isfinite(p[[0, 2]]))
+
+
 def finite_difference_check(kind, seed, batch=4, h=1e-6, tol=1e-5):
     rng = np.random.default_rng(seed)
     model = build_model(kind, rng)
@@ -400,6 +447,23 @@ def test_adam_matches_scalar_reference_trace():
     for t in range(10):
         opt.step(np.array([theta[0], 4.0 * theta[1]]))
         assert np.allclose(theta, ref[t], atol=1e-12)
+
+
+def test_adam_epsilon_keeps_its_textbook_meaning():
+    # a gradient of 1e-10 is small against EPS, so the update hangs on where
+    # EPS enters: added to the root of the bias-corrected second moment
+    lr, b1, b2 = 0.001, 0.9, 0.999
+    grads = np.array([1e-10, -0.5])
+    theta = np.zeros(2)
+    opt = Adam(theta, lr, b1, b2)
+    ref, m, v = np.zeros(2), np.zeros(2), np.zeros(2)
+    for t in range(1, 51):
+        opt.step(grads)
+        for i, g in enumerate(grads):
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g * g
+            ref[i] -= lr * (m[i] / (1 - b1**t)) / (math.sqrt(v[i] / (1 - b2**t)) + EPS)
+        assert np.all(np.abs(theta - ref) <= 1e-15 * np.abs(ref)), t
 
 
 def reference_lift(x, group):
