@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from mlgp import SHAPE_NAMES, canonical_shapes, load_dataset, make_dataset, save_dataset
+from mlgp.tetris import DATASET_ANGLES
 
 print("1. Canonical shapes (4 integer-grid points each)")
 shapes = canonical_shapes()
@@ -24,10 +25,8 @@ print(f"   sample 0 (label {data.labels[0]}, {SHAPE_NAMES[data.labels[0]]}):")
 print(np.round(data.points[0], 3))
 
 print("3. The theta-split restricts training angles to probe generalization")
-train = make_dataset("theta_train", size=8, seed=8)
-evald = make_dataset("theta_eval", size=8, seed=9)
-print(f"   theta_train intervals: {train.meta['angle_intervals']}")
-print(f"   theta_eval  intervals: {evald.meta['angle_intervals']}")
+print(f"   theta_train intervals: {DATASET_ANGLES['theta_train']}")
+print(f"   theta_eval  intervals: {DATASET_ANGLES['theta_eval']}")
 
 print("4. Coordinate noise is added after the rigid motion")
 noisy = make_dataset("main", size=512, noise_a=0.2, seed=7)

@@ -8,10 +8,10 @@ Subcommands:
 * ``isometry-test``  - weight-space vs data-space motion comparison.
 * ``export-spheres`` - decision-sphere report from a trained checkpoint.
 
-Protocol and Adam flags take their defaults from
-:class:`mlgp.experiment.ProtocolConfig`, the reference protocol, and each
-protocol flag stores to the field it sets; ``--desk-scale`` shrinks the
-protocol to 5 runs and a 10000-sample test set.  Exit status is nonzero
+Each protocol flag, and ``train``'s ``--epochs`` and ``--lr``, sets one field
+of :class:`mlgp.experiment.ProtocolConfig`, which validates it and whose value
+in the reference protocol is its default; ``--desk-scale`` shrinks the protocol
+to 5 runs and a 10000-sample test set.  Exit status is nonzero
 when an invariant check fails or a training fit diverges.
 """
 
@@ -25,17 +25,25 @@ from . import experiment, models, tetris
 
 
 _REFERENCE = experiment.ProtocolConfig()
-
-
-def _add_adam_flags(p):
-    p.add_argument("--epochs", type=int, default=_REFERENCE.epochs)
-    p.add_argument("--lr", type=float, default=_REFERENCE.lr)
-    p.add_argument("--beta1", type=float, default=_REFERENCE.beta1)
-    p.add_argument("--beta2", type=float, default=_REFERENCE.beta2)
+_CONFIG_FIELDS = tuple(f.name for f in fields(experiment.ProtocolConfig))
+# the flags not named after their field
+_FLAG_NAMES = {"noise_a": "--noise", "master_seed": "--seed"}
 
 
 def _model_list(text):
     return tuple(k.strip() for k in text.split(",") if k.strip())
+
+
+def _add_config_flags(p, names):
+    """One flag per named ``ProtocolConfig`` field, typed and defaulted from the reference."""
+    for name in names:
+        default = getattr(_REFERENCE, name)
+        flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+        if name == "models":
+            p.add_argument(flag, type=_model_list, default=default,
+                           help="comma-separated subset of " + ",".join(default))
+        else:
+            p.add_argument(flag, dest=name, type=type(default), default=default)
 
 
 def build_parser():
@@ -57,28 +65,12 @@ def build_parser():
     p.add_argument("--train", dest="train_path", required=True)
     p.add_argument("--val", dest="val_path")
     p.add_argument("--test", dest="test_path")
-    _add_adam_flags(p)
+    _add_config_flags(p, ("epochs", "lr"))
     p.add_argument("--seed", type=int, default=0, help="initialization seed")
     p.add_argument("--out", required=True, help="checkpoint output path")
 
     p = sub.add_parser("protocol", help="multi-run experiment with statistics")
-    p.add_argument(
-        "--experiment", choices=experiment.EXPERIMENT_KINDS, default=_REFERENCE.experiment
-    )
-    p.add_argument("--noise", dest="noise_a", type=float, default=_REFERENCE.noise_a)
-    p.add_argument(
-        "--models",
-        type=_model_list,
-        default=",".join(_REFERENCE.models),
-        help="comma-separated subset of mlp,mlhp,mlgp",
-    )
-    p.add_argument("--runs", type=int, default=_REFERENCE.runs)
-    _add_adam_flags(p)
-    p.add_argument("--train-size", type=int, default=_REFERENCE.train_size)
-    p.add_argument("--val-size", type=int, default=_REFERENCE.val_size)
-    p.add_argument("--test-size", type=int, default=_REFERENCE.test_size)
-    p.add_argument("--top-k", type=int, default=_REFERENCE.top_k)
-    p.add_argument("--seed", dest="master_seed", type=int, default=_REFERENCE.master_seed)
+    _add_config_flags(p, _CONFIG_FIELDS)
     p.add_argument(
         "--desk-scale",
         action="store_true",
@@ -115,8 +107,7 @@ def _cmd_train(args):
     model = models.build_model(args.model, rng)
     # a diverging fit overflows on its way to NaN; it is reported below instead
     with np.errstate(over="ignore", invalid="ignore"):
-        losses = experiment.fit(model, sets["train"].points, sets["train"].labels, args.epochs,
-                                args.lr, args.beta1, args.beta2)
+        losses = experiment.fit(model, sets["train"].points, sets["train"].labels, args.epochs, args.lr)
     if not np.all(np.isfinite(losses)):
         epoch = int(np.argmin(np.isfinite(losses)))
         raise ValueError(f"training diverged at epoch {epoch + 1} (loss {losses[epoch]}); "
@@ -131,8 +122,7 @@ def _cmd_train(args):
 
 
 def _cmd_protocol(args):
-    names = (f.name for f in fields(experiment.ProtocolConfig))
-    config = experiment.ProtocolConfig(**{name: getattr(args, name) for name in names})
+    config = experiment.ProtocolConfig(**{name: getattr(args, name) for name in _CONFIG_FIELDS})
     if args.desk_scale:
         config = config.desk_scale()
 

@@ -50,8 +50,6 @@ class ProtocolConfig:
     runs: int = 50
     epochs: int = 20000
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
     train_size: int = 1000
     val_size: int = 9000
     test_size: int = 90000
@@ -72,7 +70,7 @@ class ProtocolConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        check_adam_settings(self.lr, self.beta1, self.beta2)
+        check_adam_settings(self.lr)
 
     def desk_scale(self):
         """Small-footprint variant: 5 runs, 10000-sample test set."""
@@ -114,7 +112,6 @@ RESULTS_HEADER = ",".join(f.name for f in fields(StatRow))
 
 @dataclass
 class ProtocolResult:
-    config: ProtocolConfig
     records: list
     stats: list
     chains: dict
@@ -155,11 +152,11 @@ def run_seeds(config, model_kind):
     return [derive_seed(config.master_seed, 1, idx, r) for r in range(config.runs)]
 
 
-def fit(model, points, labels, epochs, lr=ProtocolConfig.lr,
-        beta1=ProtocolConfig.beta1, beta2=ProtocolConfig.beta2):
+def fit(model, points, labels, epochs, lr=ProtocolConfig.lr):
     """Full-batch Adam on softmax cross-entropy; returns per-epoch losses.
 
-    The Adam defaults are the reference protocol's.  The first layer's input
+    The learning rate defaults to the reference protocol's, and Adam's decay
+    rates are ``nn.BETA1`` and ``nn.BETA2``.  The first layer's input
     lift has no parameters and the labels do not change, so the lift and the
     one-hot target are computed once and reused every epoch.
     """
@@ -167,7 +164,7 @@ def fit(model, points, labels, epochs, lr=ProtocolConfig.lr,
         raise ValueError(f"epochs must be an integer >= 0, got {epochs!r}")
     first = embed_input(model.layers[0], points)
     target = one_hot(labels)
-    opt = Adam(model.theta, lr, beta1, beta2)
+    opt = Adam(model.theta, lr)
     losses = np.empty(epochs)
     for epoch in range(epochs):
         logits, trace = forward(model, points, first_embedded=first)
@@ -192,8 +189,7 @@ def train(config, model_kind, seed, test_set, run_id=0):
     rng = np.random.default_rng(init_seed)
     model = build_model(model_kind, rng)
     start = time.perf_counter()
-    fit(model, train_set.points, train_set.labels, config.epochs,
-        config.lr, config.beta1, config.beta2)
+    fit(model, train_set.points, train_set.labels, config.epochs, config.lr)
     wall = time.perf_counter() - start
     val_acc = accuracy(model, val_set.points, val_set.labels)
     test_acc = accuracy(model, test_set.points, test_set.labels)
@@ -236,7 +232,7 @@ def run_protocol(config, progress=None):
             if progress is not None:
                 progress(record)
     stats = summarize_records(records, config)
-    return ProtocolResult(config, records, stats, chains)
+    return ProtocolResult(records, stats, chains)
 
 
 def _load_rows(path, header, row_type):

@@ -68,6 +68,10 @@ class Model:
         """An independent model with a copy of ``theta``."""
         return Model(self.kind, self.theta.copy())
 
+    def __reduce__(self):
+        """Pickle and deep-copy as kind and ``theta``: the copy's layers view its ``theta``."""
+        return Model, (self.kind, self.theta)
+
 
 def build_model(kind, rng=None):
     """A fresh model of ``kind``.

@@ -18,7 +18,7 @@ is given; large sets are scored in blocks of at most ``EVAL_BLOCK`` shapes
 (:func:`eval_blocks`) by ``models.accuracy``, ``models.predict`` and the
 isometry test.  A fit builds the loss's :func:`one_hot` target once; the loss
 takes one ``exp``, floored at ``EXP_FLOOR``, and :class:`Adam` steps in the
-efficient form of Kingma & Ba's section 2.
+efficient form of Kingma & Ba's section 2 at their ``BETA1`` and ``BETA2``.
 """
 
 import numpy as np
@@ -195,40 +195,38 @@ def softmax_cross_entropy(logits, labels):
 # Kingma & Ba's epsilon on the root of the bias-corrected second moment; their
 # section 2 form that Adam.step takes keeps this textbook meaning
 EPS = 1e-8
+# their default decay rates of the moment estimates, the reference protocol's
+BETA1, BETA2 = 0.9, 0.999
 
 
-def check_adam_settings(lr, beta1, beta2):
-    """Raise ValueError unless lr is finite and positive and both betas are in [0, 1)."""
+def check_adam_settings(lr):
+    """Raise ValueError unless the learning rate is finite and positive."""
     if not (lr > 0.0 and np.isfinite(lr)):
         raise ValueError(f"learning rate must be finite and positive, got {lr}")
-    for name, beta in (("beta1", beta1), ("beta2", beta2)):
-        if not 0.0 <= beta < 1.0:
-            raise ValueError(f"{name} must be in [0, 1), got {beta}")
 
 
 class Adam:
     """Bias-corrected Adam (Kingma & Ba, arXiv 1412.6980), in place on ``theta``.
 
-    A step takes the efficient form of their section 2, with ``EPS`` scaled by
-    sqrt(1 - beta2**t): the textbook update, so ``EPS`` keeps its meaning.
+    The decay rates are their defaults, ``BETA1`` and ``BETA2``.  A step takes
+    the efficient form of their section 2, with ``EPS`` scaled by
+    sqrt(1 - BETA2**t): the textbook update, so ``EPS`` keeps its meaning.
     """
 
-    def __init__(self, theta, lr, beta1, beta2):
-        check_adam_settings(lr, beta1, beta2)
+    def __init__(self, theta, lr):
+        check_adam_settings(lr)
         self.theta = theta
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
         self.t = 0
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
 
     def step(self, grad):
         self.t += 1
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * (grad * grad)
-        root = (1.0 - self.beta2**self.t) ** 0.5
-        alpha = self.lr * root / (1.0 - self.beta1**self.t)
+        self.m *= BETA1
+        self.m += (1.0 - BETA1) * grad
+        self.v *= BETA2
+        self.v += (1.0 - BETA2) * (grad * grad)
+        root = (1.0 - BETA2**self.t) ** 0.5
+        alpha = self.lr * root / (1.0 - BETA1**self.t)
         self.theta -= alpha * self.m / (np.sqrt(self.v) + EPS * root)

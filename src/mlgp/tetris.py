@@ -8,7 +8,7 @@ use disjoint angle unions to probe generalization over unseen rotations.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,7 +140,6 @@ class LabeledShapeSet:
 
     points: np.ndarray  # (n, 4, 3)
     labels: np.ndarray  # (n,)
-    meta: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.labels)
@@ -170,14 +169,7 @@ def make_dataset(kind, size, noise_a=0.0, seed=0):
         points[start:stop] = shapes @ rot.transpose(0, 2, 1) + shift[:, None, :]
         if noise is not None:
             points[start:stop] += noise
-    meta = {
-        "seed": int(seed),
-        "kind": kind,
-        "noise_a": float(noise_a),
-        "angle_intervals": DATASET_ANGLES[kind],
-        "t_range": T_RANGE,
-    }
-    return LabeledShapeSet(points, labels, meta)
+    return LabeledShapeSet(points, labels)
 
 
 def save_dataset(dataset, path):
@@ -206,4 +198,4 @@ def load_dataset(path):
     points = np.asarray(coords, dtype=float).reshape(-1, POINTS_PER_SHAPE, 3)
     if not np.all(np.isfinite(points)):
         raise ValueError(f"non-finite coordinate in {path}")
-    return LabeledShapeSet(points, np.asarray(labels, dtype=np.int64), {})
+    return LabeledShapeSet(points, np.asarray(labels, dtype=np.int64))

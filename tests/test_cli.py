@@ -1,10 +1,13 @@
 """End-to-end tests for each command-line subcommand."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from mlgp.cli import main
-from mlgp.experiment import RECORDS_HEADER, RESULTS_HEADER, load_records, load_results
+from mlgp.cli import build_parser, main
+from mlgp.experiment import (RECORDS_HEADER, RESULTS_HEADER, ProtocolConfig, load_records,
+                             load_results)
 from mlgp.models import build_model, load_checkpoint
 from mlgp.tetris import DATASET_HEADER, load_dataset
 from mlgp import _serialize
@@ -110,6 +113,20 @@ def test_protocol(tmp_path, capsys):
     assert records.read_text().startswith(RECORDS_HEADER)
 
 
+def test_protocol_flags_are_the_config_fields():
+    reference = ProtocolConfig()
+    args = vars(build_parser().parse_args(["protocol", "--results", "r.csv"]))
+    names = {f.name for f in fields(ProtocolConfig)}
+    assert set(args) == names | {"command", "desk_scale", "results", "records"}
+    assert {name: args[name] for name in names} == vars(reference)
+    args = build_parser().parse_args(["protocol", "--noise", "0.2", "--seed", "3",
+                                      "--models", "mlp,mlgp", "--results", "r.csv"])
+    assert (args.noise_a, args.master_seed, args.models) == (0.2, 3, ("mlp", "mlgp"))
+    args = build_parser().parse_args(["train", "--model", "mlp", "--train", "t.csv",
+                                      "--out", "m.json"])
+    assert (args.epochs, args.lr) == (reference.epochs, reference.lr)
+
+
 def test_protocol_desk_scale_flag(tmp_path):
     # desk scale overrides runs/test size but keeps explicit small sizes fast
     results = tmp_path / "results.csv"
@@ -129,6 +146,14 @@ def test_protocol_rejects_empty_or_repeated_models(tmp_path, capsys):
                    "--results", results) == 1
         assert one_line_error(capsys)
         assert not results.exists()
+
+
+def test_protocol_rejects_an_unknown_experiment(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    assert run("protocol", "--experiment", "nope", "--runs", "1", "--epochs", "3",
+               "--results", results) == 1
+    assert one_line_error(capsys)
+    assert not results.exists()
 
 
 def test_train_rejects_negative_epochs(tmp_path, capsys):
@@ -163,7 +188,7 @@ def test_train_and_protocol_reject_bad_adam_settings(tmp_path, capsys):
     results = tmp_path / "results.csv"
     run("gen-data", "--size", "16", "--seed", "1", "--out", data)
     capsys.readouterr()
-    for flag, value in (("--lr", "nan"), ("--lr", "0"), ("--beta1", "1"), ("--beta2", "-0.1")):
+    for flag, value in (("--lr", "nan"), ("--lr", "0")):
         assert run("train", "--model", "mlp", "--train", data, "--epochs", "3",
                    flag, value, "--out", ckpt) == 1
         assert one_line_error(capsys)

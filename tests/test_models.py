@@ -1,6 +1,8 @@
 """Tests for the reference architectures, weight transforms, checkpoints."""
 
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -94,6 +96,18 @@ def test_model_copy_is_independent():
     dup.layers[0].b[0] += 1.0
     assert model.layers[0].w[0, 0] != dup.layers[0].w[0, 0]
     assert model.layers[0].b[0] != dup.layers[0].b[0]
+
+
+def test_model_pickles_and_deep_copies_with_its_views():
+    data = make_dataset("main", 16, seed=3)
+    for kind in MODEL_KINDS:
+        model = build_model(kind, np.random.default_rng(4))
+        logits = forward(model, data.points)[0]
+        for dup in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+            assert all(np.shares_memory(layer.params, dup.theta) for layer in dup.layers), kind
+            assert np.array_equal(forward(dup, data.points)[0], logits), kind
+            dup.theta[:] = 0.0
+            assert not forward(dup, data.points)[0].any(), kind
 
 
 def test_model_rejects_theta_of_wrong_size_or_dtype():

@@ -399,7 +399,7 @@ def test_adam_zero_gradient_is_a_fixed_point():
     rng = np.random.default_rng(17)
     theta = rng.uniform(-1, 1, 134)
     before = theta.copy()
-    opt = Adam(theta, 0.001, 0.9, 0.999)
+    opt = Adam(theta, 0.001)
     for _ in range(5):
         opt.step(np.zeros_like(theta))
     assert np.array_equal(theta, before)
@@ -408,18 +408,15 @@ def test_adam_zero_gradient_is_a_fixed_point():
 def test_adam_rejects_bad_settings():
     theta = np.zeros(3)
     nan, inf = float("nan"), float("inf")
-    for lr, b1, b2 in ((nan, 0.9, 0.999), (inf, 0.9, 0.999), (0.0, 0.9, 0.999),
-                       (-0.1, 0.9, 0.999), (0.001, 1.0, 0.999), (0.001, -0.1, 0.999),
-                       (0.001, 0.9, 1.0), (0.001, 0.9, nan)):
+    for lr in (nan, inf, 0.0, -0.1):
         with pytest.raises(ValueError):
-            Adam(theta, lr, b1, b2)
-    Adam(theta, 0.001, 0.0, 0.0)  # zero betas are allowed
+            Adam(theta, lr)
 
 
 def test_adam_first_step_is_signed_learning_rate():
     # after bias correction, step 1 moves each weight by ~lr * sign(g)
     theta = np.ones(3)
-    opt = Adam(theta, lr=0.01, beta1=0.9, beta2=0.999)
+    opt = Adam(theta, lr=0.01)
     g = np.array([0.3, -2.0, 0.5])
     opt.step(g)
     assert np.allclose(theta, 1.0 - 0.01 * np.sign(g), atol=1e-6)
@@ -443,7 +440,7 @@ def test_adam_matches_scalar_reference_trace():
         ref.append((a, b))
 
     theta = np.array([1.0, -1.0])
-    opt = Adam(theta, lr=lr, beta1=b1, beta2=b2)
+    opt = Adam(theta, lr=lr)
     for t in range(10):
         opt.step(np.array([theta[0], 4.0 * theta[1]]))
         assert np.allclose(theta, ref[t], atol=1e-12)
@@ -455,7 +452,7 @@ def test_adam_epsilon_keeps_its_textbook_meaning():
     lr, b1, b2 = 0.001, 0.9, 0.999
     grads = np.array([1e-10, -0.5])
     theta = np.zeros(2)
-    opt = Adam(theta, lr, b1, b2)
+    opt = Adam(theta, lr)
     ref, m, v = np.zeros(2), np.zeros(2), np.zeros(2)
     for t in range(1, 51):
         opt.step(grads)

@@ -158,8 +158,6 @@ def test_make_dataset_basics():
     assert data.points.shape == (40, POINTS_PER_SHAPE, 3)
     # labels cycle through the classes
     assert np.array_equal(data.labels, np.arange(40) % NUM_CLASSES)
-    assert data.meta["kind"] == MAIN
-    assert data.meta["t_range"] == T_RANGE
     with pytest.raises(ValueError):
         make_dataset("nope", 40)
     with pytest.raises(ValueError):
