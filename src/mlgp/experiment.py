@@ -285,37 +285,37 @@ class IsometryReport:
 def isometry_test(model, test_set, trials=100, seed=0):
     """Compare weight-space and data-space rigid motions on a trained model.
 
-    Each trial samples one motion, moves the test shapes with it, moves the
-    first-layer weights with the same motion, and scores all four
-    model/data combinations.  The matched combination must reproduce the
-    original logits to within numerical precision, so its accuracy column
-    is constant; the mismatched combinations degrade.
+    Each trial draws one motion (all up front), moves the first-layer weights
+    with it, and scores all four model/data combinations.  Test blocks are the
+    outer loop and trials the inner: a block is lifted once unmoved and once
+    per trial moved, so the call holds one block's temporaries and O(trials)
+    moved models (~3 KB each), nothing sized by the test set.  The matched
+    combination must reproduce the original logits to within rounding, so its
+    accuracy column is constant; the mismatched combinations degrade.
     """
     if model.kind != MLGP:
         raise ValueError(f"isometry test requires an mlgp model, got {model.kind}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     rng = np.random.default_rng(seed)
+    motions = [sample_motion(rng) for _ in range(trials)]
+    moved_models = [transform_mlgp_weights(model, motion) for motion in motions]
     pts, labels = test_set.points, test_set.labels
-    blocks = eval_blocks(len(pts))
-    base = [forward(model, pts[cols])[0] for cols in blocks]
-    base_acc = sum(hits(b, labels[cols]) for cols, b in zip(blocks, base)) / len(pts) * 100.0
-    accs = np.empty((len(COMBO_NAMES), trials))
+    counts = np.zeros((trials, len(COMBO_NAMES)), dtype=int)  # hits, one row per trial
     max_dev = 0.0
-    for t in range(trials):
-        motion = sample_motion(rng)
-        moved_model = transform_mlgp_weights(model, motion)
-        counts = np.zeros(3, dtype=int)
-        # block by block, so no moved copy of the test set is held; each
-        # moved block is lifted once for both models that score it
-        for cols, base_logits in zip(blocks, base):
-            lifted = embed_input(model.layers[0], motion.apply(pts[cols]))
-            logits_tt, _ = forward(moved_model, None, lifted)
+    for cols in eval_blocks(len(pts)):
+        block, truth = pts[cols], labels[cols]
+        lifted = embed_input(model.layers[0], block)
+        base_logits, _ = forward(model, None, lifted)
+        counts[:, 0] += hits(base_logits, truth)
+        for row, motion, moved_model in zip(counts, motions, moved_models):
+            moved = embed_input(model.layers[0], motion.apply(block))
+            logits_tt, _ = forward(moved_model, None, moved)
             max_dev = max(max_dev, float(np.abs(logits_tt - base_logits).max()))
-            counts += (hits(logits_tt, labels[cols]),
-                       hits(forward(model, None, lifted)[0], labels[cols]),
-                       hits(forward(moved_model, pts[cols])[0], labels[cols]))
-        accs[:, t] = base_acc, *(counts / len(pts) * 100.0)
+            row[1:] += (hits(logits_tt, truth),
+                        hits(forward(model, None, moved)[0], truth),
+                        hits(forward(moved_model, None, lifted)[0], truth))
+    accs = counts.T / len(pts) * 100.0
     return IsometryReport(trials, dict(zip(COMBO_NAMES, accs)), max_dev)
 
 

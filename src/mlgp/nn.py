@@ -54,6 +54,8 @@ class Layer:
 def _features(points, layer):
     """(m, batch) view of the (batch, ...) input to ``layer``."""
     pts = np.asarray(points, dtype=float)
+    if not len(pts):
+        raise ValueError("no shapes to score")
     x = pts.reshape(len(pts), -1).T
     if len(x) != layer.pre_embed_dim:
         raise ValueError(f"layer expects {layer.pre_embed_dim} inputs, got {len(x)}")

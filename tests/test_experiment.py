@@ -30,9 +30,10 @@ from mlgp.experiment import (
     summarize_records,
     train,
 )
-from mlgp.models import MODEL_KINDS, accuracy, build_model, transform_mlgp_weights
+from mlgp.models import MODEL_KINDS, accuracy, build_model, predict, transform_mlgp_weights
 from mlgp.nn import EVAL_BLOCK, forward
-from mlgp.tetris import DATASET_HEADER, THETA_EVAL, make_dataset, sample_motion
+from mlgp.tetris import (DATASET_HEADER, THETA_EVAL, LabeledShapeSet, make_dataset,
+                         sample_motion)
 
 TINY = ProtocolConfig(
     runs=2,
@@ -320,15 +321,36 @@ def test_evaluation_holds_no_batch_sized_temporaries():
         model = build_model(kind, np.random.default_rng(56))
         assert _peak_bytes(lambda: accuracy(model, data.points, data.labels)) < 1e6, kind
     model = make_small_trained_mlgp()
-    # the base logits, (50000, 8) floats, are the one batch-sized array
-    assert _peak_bytes(lambda: isometry_test(model, data, trials=2, seed=57)) < 8e6
+    # no array sized by the test set: under one (50000, 8) logits array, 3.2 MB
+    assert _peak_bytes(lambda: isometry_test(model, data, trials=2, seed=57)) < 2e6
 
 
 def test_isometry_test_validation():
     with pytest.raises(ValueError):
         isometry_test(build_model("mlp"), make_dataset("main", 16, seed=1))
-    with pytest.raises(ValueError):
-        isometry_test(build_model("mlgp"), make_dataset("main", 16, seed=1), trials=0)
+    for trials in (0, 2.5, True):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            isometry_test(build_model("mlgp"), make_dataset("main", 16, seed=1), trials=trials)
+
+
+def test_isometry_test_draws_the_same_motions_for_fewer_trials():
+    model = make_small_trained_mlgp()
+    test_set = make_dataset("main", EVAL_BLOCK + 100, noise_a=0.1, seed=58)
+    few = isometry_test(model, test_set, trials=3, seed=59)
+    more = isometry_test(model, test_set, trials=6, seed=59)
+    for name in COMBO_NAMES:
+        assert np.array_equal(few.accuracies[name], more.accuracies[name][:3]), name
+    assert few.max_logit_deviation <= more.max_logit_deviation
+
+
+def test_an_empty_batch_has_no_shapes_to_score():
+    model = build_model("mlgp", np.random.default_rng(1))
+    empty = LabeledShapeSet(np.empty((0, 4, 3)), np.empty(0, dtype=int))
+    for call in (lambda: accuracy(model, empty.points, empty.labels),
+                 lambda: predict(model, empty.points),
+                 lambda: isometry_test(model, empty, trials=1)):
+        with pytest.raises(ValueError, match="^no shapes to score$"):
+            call()
 
 
 def test_export_spheres_counts_and_file(tmp_path):
