@@ -65,7 +65,8 @@ def lift(x, group):
     out[:, :group] = g
     out[:, group] = -1.0
     g = out[:, :group]  # contiguous rows even when x is a transposed view
-    out[:, group + 1] = -0.5 * (g * g).sum(axis=1)
+    norm_sq = np.add.reduce(g * g, axis=1, out=out[:, group + 1])
+    norm_sq *= -0.5
     return out.reshape((-1,) + rest)
 
 
@@ -75,7 +76,8 @@ def lift_grad(d_lifted, lifted, group):
         return d_lifted
     d = d_lifted.reshape((-1, group + 2) + lifted.shape[1:])
     g = lifted.reshape(d.shape)[:, :group]  # each lifted block starts with its x
-    return (d[:, :group] - d[:, group + 1 :] * g).reshape((-1,) + lifted.shape[1:])
+    prod = d[:, group + 1 :] * g
+    return np.subtract(d[:, :group], prod, out=prod).reshape((-1,) + lifted.shape[1:])
 
 
 def embed_point(x):

@@ -68,7 +68,7 @@ class ProtocolConfig:
         for name, least in (("runs", 1), ("epochs", 0), ("top_k", 1),
                             ("train_size", n), ("val_size", n), ("test_size", n)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < least:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         check_adam_settings(self.lr)
 
@@ -160,7 +160,7 @@ def fit(model, points, labels, epochs, lr=ProtocolConfig.lr):
     lift has no parameters and the labels do not change, so the lift and the
     one-hot target are computed once and reused every epoch.
     """
-    if not isinstance(epochs, numbers.Integral) or epochs < 0:
+    if isinstance(epochs, bool) or not isinstance(epochs, numbers.Integral) or epochs < 0:
         raise ValueError(f"epochs must be an integer >= 0, got {epochs!r}")
     first = embed_input(model.layers[0], points)
     target = one_hot(labels)
@@ -311,12 +311,12 @@ def isometry_test(model, test_set, trials=100, seed=0):
         for row, motion, moved_model in zip(counts, motions, moved_models):
             moved = embed_input(model.layers[0], motion.apply(block))
             logits_tt, _ = forward(moved_model, None, moved)
-            max_dev = max(max_dev, float(np.abs(logits_tt - base_logits).max()))
+            max_dev = np.maximum(max_dev, np.abs(logits_tt - base_logits).max())  # keeps a NaN
             row[1:] += (hits(logits_tt, truth),
                         hits(forward(model, None, moved)[0], truth),
                         hits(forward(moved_model, None, lifted)[0], truth))
     accs = counts.T / len(pts) * 100.0
-    return IsometryReport(trials, dict(zip(COMBO_NAMES, accs)), max_dev)
+    return IsometryReport(trials, dict(zip(COMBO_NAMES, accs)), float(max_dev))
 
 
 SPHERES_FORMAT = "mlgp-spheres-v1"

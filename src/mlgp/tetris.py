@@ -7,7 +7,6 @@ angle range: the main kind uses all of [0, 2pi), while the theta-split kinds
 use disjoint angle unions to probe generalization over unseen rotations.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,12 +86,12 @@ def _draw_motions(rng, kind, n, noise_a):
 
     Returns (n, 3, 3) rotations, (n, 3) shifts and (n, 4, 3) noise or None;
     an unknown ``kind`` raises ValueError.  The draws are a contract.  Motion
-    by motion, ``rng`` gives the rotation axis (``standard_normal(3)``,
-    redrawn while its norm is at most 1e-12), the angle-interval pick
-    (``random()`` times the union's length), the angle (``uniform(lo, hi)``),
-    the translation (``uniform(-T_RANGE, T_RANGE, 3)``) and, when
-    ``noise_a > 0``, the noise (``uniform(-noise_a, noise_a, (4, 3))``); the
-    rotation is ``rotation_about_axis(axis / norm(axis), angle)``.  Drawing
+    by motion, ``rng`` gives the rotation axis (``standard_normal(3)``; one of
+    norm <= 1e-12, probability ~3e-37, is not redrawn but raises ValueError), the
+    angle-interval pick (``random()`` times the union's length), the angle
+    (``uniform(lo, hi)``), the translation (``uniform(-T_RANGE, T_RANGE, 3)``)
+    and, when ``noise_a > 0``, the noise (``uniform(-noise_a, noise_a, (4, 3))``);
+    the rotation is ``rotation_about_axis(axis / norm(axis), angle)``.  Drawing
     a motion's uniforms with one ``random(k)`` call changes no value.
     """
     if kind not in DATASET_ANGLES:
@@ -105,15 +104,14 @@ def _draw_motions(rng, kind, n, noise_a):
     normal, random = rng.standard_normal, rng.random
     axes = np.empty((n, 3))
     u = np.empty((n, n_uniform))
-    norms = []
     for axis, draws in zip(axes, u):
         normal(out=axis)
-        # sqrt(axis @ axis) is the norm np.linalg.norm takes of one vector
-        while (norm := math.sqrt(axis.dot(axis))) <= 1e-12:
-            normal(out=axis)
-        norms.append(norm)
         random(out=draws)
-    axes /= np.array(norms)[:, None]
+    # sqrt(a @ a) per axis: the norm np.linalg.norm takes of one vector
+    norms = np.sqrt((axes[:, None, :] @ axes[:, :, None])[:, 0, 0])
+    if (norms <= 1e-12).any():
+        raise ValueError("drew a rotation axis of norm <= 1e-12")
+    axes /= norms[:, None]
     pick = np.searchsorted(ends, u[:, 0] * total, side="right")
     lo, hi = bounds[np.minimum(pick, len(bounds) - 1)].T
     rotations = rotation_about_axis(axes, _uniform(lo, hi, u[:, 1]))

@@ -10,7 +10,7 @@ from mlgp.experiment import (RECORDS_HEADER, RESULTS_HEADER, ProtocolConfig, loa
                              load_results)
 from mlgp.models import build_model, load_checkpoint
 from mlgp.tetris import DATASET_HEADER, load_dataset
-from mlgp import _serialize
+from mlgp import _serialize, models
 
 
 def run(*argv):
@@ -218,6 +218,20 @@ def test_isometry_test_passes_for_mlgp(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "transformed_model_transformed_data" in out
     assert "max logit deviation" in out
+
+
+def test_isometry_test_fails_on_a_nan_deviation(tmp_path, monkeypatch, capsys):
+    # a checkpoint cannot hold a non-finite theta, so the model is put in its place
+    model = build_model("mlgp", np.random.default_rng(16))
+    model.theta[:] = np.nan
+    monkeypatch.setattr(models, "load_checkpoint", lambda path: (None, model, None))
+    test = tmp_path / "test.csv"
+    run("gen-data", "--size", "16", "--seed", "17", "--out", test)
+    assert run("isometry-test", "--checkpoint", "unused.json", "--test", test,
+               "--trials", "2") == 1
+    captured = capsys.readouterr()
+    assert "max logit deviation: nan" in captured.out
+    assert "invariant failure" in captured.err
 
 
 def test_isometry_test_rejects_non_mlgp(tmp_path):

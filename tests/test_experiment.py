@@ -67,7 +67,9 @@ def test_config_validation():
     # each count is an integer with a floor; the split sizes need all 8 classes
     for name, bad in (("runs", 0), ("runs", 1.5), ("epochs", -1), ("epochs", 2.5),
                       ("top_k", 0), ("top_k", 2.5), ("train_size", 4), ("train_size", 64.0),
-                      ("val_size", 7), ("val_size", 2.5), ("test_size", 4), ("test_size", "64")):
+                      ("val_size", 7), ("val_size", 2.5), ("test_size", 4), ("test_size", "64"),
+                      ("runs", True), ("epochs", True), ("top_k", True), ("train_size", True),
+                      ("val_size", True), ("test_size", True)):
         with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
             ProtocolConfig(**{name: bad})
     ProtocolConfig(runs=np.int64(1), epochs=0, top_k=1, train_size=8, val_size=8, test_size=8)
@@ -113,7 +115,7 @@ def test_fit_rejects_negative_or_non_integer_epochs():
     model = build_model("mlp", np.random.default_rng(44))
     before = model.theta.copy()
     data = make_dataset("main", 16, seed=45)
-    for epochs in (-1, 2.5, "3", None):
+    for epochs in (-1, 2.5, "3", None, True):
         with pytest.raises(ValueError, match=r"epochs must be an integer >= 0"):
             fit(model, data.points, data.labels, epochs)
     assert np.array_equal(model.theta, before)
@@ -266,6 +268,14 @@ def test_isometry_test_equality_holds():
     base = report.accuracies["original_model_original_data"]
     assert np.ptp(matched) == 0.0
     assert np.array_equal(matched, base)
+
+
+def test_isometry_test_reports_a_nan_deviation():
+    model = build_model("mlgp", np.random.default_rng(50))
+    model.theta[:] = np.nan
+    report = isometry_test(model, make_dataset("main", 64, seed=51), trials=3, seed=52)
+    assert np.isnan(report.max_logit_deviation)
+    assert not report.equality_holds
 
 
 def whole_batch_isometry_test(model, test_set, trials, seed):

@@ -20,6 +20,7 @@ from mlgp.tetris import (
     THETA_TRAIN,
     THETA_TRAIN_ANGLES,
     T_RANGE,
+    _draw_motions,
     canonical_shapes,
     load_dataset,
     make_dataset,
@@ -177,22 +178,27 @@ def test_make_dataset_deterministic():
     assert not np.array_equal(a.points, c.points)
 
 
-def per_sample_dataset(kind, size, noise_a, seed):
-    """make_dataset's draw contract, written out one sample at a time."""
+def per_sample_motion(rng, kind):
+    """The draw contract's next motion of dataset ``kind``, written out in full."""
     intervals = DATASET_ANGLES[kind]
     lengths = [hi - lo for lo, hi in intervals]
+    axis = rng.standard_normal(3)
+    if np.linalg.norm(axis) <= 1e-12:
+        raise ValueError("drew a rotation axis of norm <= 1e-12")
+    axis = axis / np.linalg.norm(axis)
+    pick = rng.random() * sum(lengths)
+    idx = int(np.searchsorted(np.cumsum(lengths), pick, side="right"))
+    lo, hi = intervals[min(idx, len(intervals) - 1)]
+    rotation = rotation_about_axis(axis, rng.uniform(lo, hi))
+    return RigidMotion(rotation, rng.uniform(-T_RANGE, T_RANGE, 3))
+
+
+def per_sample_dataset(kind, size, noise_a, seed):
+    """make_dataset's draw contract, written out one sample at a time."""
     rng = np.random.default_rng(seed)
     points = []
     for i in range(size):
-        axis = rng.standard_normal(3)
-        while np.linalg.norm(axis) <= 1e-12:
-            axis = rng.standard_normal(3)
-        axis = axis / np.linalg.norm(axis)
-        pick = rng.random() * sum(lengths)
-        idx = int(np.searchsorted(np.cumsum(lengths), pick, side="right"))
-        lo, hi = intervals[min(idx, len(intervals) - 1)]
-        rotation = rotation_about_axis(axis, rng.uniform(lo, hi))
-        motion = RigidMotion(rotation, rng.uniform(-T_RANGE, T_RANGE, 3))
+        motion = per_sample_motion(rng, kind)
         sample = motion.apply(_CANONICAL[i % NUM_CLASSES])
         if noise_a > 0.0:
             sample = sample + rng.uniform(-noise_a, noise_a, (POINTS_PER_SHAPE, 3))
@@ -206,6 +212,46 @@ def test_make_dataset_matches_per_sample_motions_bit_for_bit(kind):
     for size, noise_a, seed in itertools.product((8, 1023, 1024, 1025, 2049), (0.0, 0.2), (0, 1)):
         got = make_dataset(kind, size, noise_a, seed).points
         assert np.array_equal(got, per_sample_dataset(kind, size, noise_a, seed)), (size, noise_a, seed)
+
+
+@pytest.mark.parametrize("kind", [MAIN, THETA_TRAIN, THETA_EVAL])
+def test_sample_motion_matches_the_per_sample_motions_bit_for_bit(kind):
+    # each sample_motion call is a one-motion block of the sampler
+    for seed in range(4):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got, want = sample_motion(rng, kind), per_sample_motion(ref, kind)
+            assert np.array_equal(got.rotation, want.rotation), seed
+            assert np.array_equal(got.translation, want.translation), seed
+
+
+class ZeroFirstAxis:
+    """A generator whose first ``zeros`` ``standard_normal`` draws come out as zeros."""
+
+    def __init__(self, seed, zeros=1):
+        self.rng = np.random.default_rng(seed)
+        self.zeros_left = zeros
+
+    def standard_normal(self, size=None, out=None):
+        draw = self.rng.standard_normal(size, out=out)
+        if self.zeros_left:
+            self.zeros_left -= 1
+            draw[...] = 0.0
+        return draw
+
+    def __getattr__(self, name):  # every other draw is the generator's own
+        return getattr(self.rng, name)
+
+
+def test_a_degenerate_axis_raises_instead_of_being_redrawn():
+    for kind, noise_a in ((MAIN, 0.0), (THETA_EVAL, 0.2)):
+        with pytest.raises(ValueError, match=r"^drew a rotation axis of norm <= 1e-12$"):
+            _draw_motions(ZeroFirstAxis(0), kind, 5, noise_a)
+    # the reference raises alike, and nonzero draws pass
+    with pytest.raises(ValueError, match=r"^drew a rotation axis of norm <= 1e-12$"):
+        per_sample_motion(ZeroFirstAxis(0), MAIN)
+    rotations, _, _ = _draw_motions(ZeroFirstAxis(0, zeros=0), MAIN, 5, 0.0)
+    assert np.allclose(rotations @ rotations.transpose(0, 2, 1), np.eye(3))
 
 
 def test_noiseless_samples_are_rigid_copies():
