@@ -11,17 +11,9 @@ then one line of comma-joined ``str`` values per row.
 import json
 from pathlib import Path
 
-import numpy as np
-
-
-def _to_builtin(obj):
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
 
 def save(path, obj):
-    text = json.dumps(obj, indent=1, allow_nan=False, default=_to_builtin)
+    text = json.dumps(obj, indent=1, allow_nan=False)
     Path(path).write_text(text + "\n")
 
 

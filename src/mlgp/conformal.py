@@ -159,6 +159,8 @@ class RigidMotion:
         t = np.asarray(self.translation, dtype=float)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("rotation must be 3x3 and translation length 3")
+        if not (np.isfinite(r).all() and np.isfinite(t).all()):
+            raise ValueError("rotation and translation must be finite")
         if np.max(np.abs(r.T @ r - np.eye(3))) > _ORTHOGONALITY_TOL:
             raise ValueError("rotation is not orthogonal")
         if abs(np.linalg.det(r) - 1.0) > _ORTHOGONALITY_TOL:

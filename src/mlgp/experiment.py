@@ -13,7 +13,6 @@ never share RNG streams and the records reproduce bit for bit (wall times
 excepted).
 """
 
-import numbers
 import time
 from dataclasses import astuple, dataclass, fields, replace
 
@@ -22,13 +21,15 @@ import numpy as np
 from . import _serialize, tetris
 from .conformal import DegenerateSphereError, extract_center_radius_sq, point_normalize
 from .models import MLGP, MODEL_KINDS, accuracy, build_model, hits, transform_mlgp_weights
-from .nn import (Adam, backward, check_adam_settings, embed_input, eval_blocks, forward,
-                 one_hot, softmax_cross_entropy)
+from .nn import (Adam, backward, check_adam_settings, check_count, check_labels, embed_input,
+                 eval_blocks, forward, one_hot, softmax_cross_entropy)
 from .tetris import make_dataset, sample_motion
 
 MAIN_EXPERIMENT = "main"
 THETA_EXPERIMENT = "theta"
-EXPERIMENT_KINDS = (MAIN_EXPERIMENT, THETA_EXPERIMENT)
+# per experiment, the dataset kind it trains on and the kind it validates and tests on
+_SPLIT_KINDS = {MAIN_EXPERIMENT: (tetris.MAIN, tetris.MAIN),
+                THETA_EXPERIMENT: (tetris.THETA_TRAIN, tetris.THETA_EVAL)}
 
 STAT_ALL = "all_runs"
 STAT_TOP = "top_k"
@@ -57,7 +58,7 @@ class ProtocolConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_KINDS:
+        if self.experiment not in _SPLIT_KINDS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if not self.models or len(set(self.models)) != len(self.models):
             raise ValueError(f"models must be distinct and at least one, got {self.models!r}")
@@ -67,9 +68,7 @@ class ProtocolConfig:
         n = tetris.NUM_CLASSES  # the smallest dataset make_dataset draws
         for name, least in (("runs", 1), ("epochs", 0), ("top_k", 1),
                             ("train_size", n), ("val_size", n), ("test_size", n)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            check_count(name, getattr(self, name), least)
         check_adam_settings(self.lr)
 
     def desk_scale(self):
@@ -133,11 +132,6 @@ def derive_seed(master_seed, *key):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# per experiment, the dataset kind it trains on and the kind it validates and tests on
-_SPLIT_KINDS = {MAIN_EXPERIMENT: (tetris.MAIN, tetris.MAIN),
-                THETA_EXPERIMENT: (tetris.THETA_TRAIN, tetris.THETA_EVAL)}
-
-
 def make_test_set(config):
     """The experiment's fixed test set, derived from the master seed only."""
     _, eval_kind = _SPLIT_KINDS[config.experiment]
@@ -160,9 +154,9 @@ def fit(model, points, labels, epochs, lr=ProtocolConfig.lr):
     lift has no parameters and the labels do not change, so the lift and the
     one-hot target are computed once and reused every epoch.
     """
-    if isinstance(epochs, bool) or not isinstance(epochs, numbers.Integral) or epochs < 0:
-        raise ValueError(f"epochs must be an integer >= 0, got {epochs!r}")
-    first = embed_input(model.layers[0], points)
+    check_count("epochs", epochs, 0)
+    check_labels(points, labels)
+    first = embed_input(model, points)
     target = one_hot(labels)
     opt = Adam(model.theta, lr)
     losses = np.empty(epochs)
@@ -293,10 +287,7 @@ def isometry_test(model, test_set, trials=100, seed=0):
     combination must reproduce the original logits to within rounding, so its
     accuracy column is constant; the mismatched combinations degrade.
     """
-    if model.kind != MLGP:
-        raise ValueError(f"isometry test requires an mlgp model, got {model.kind}")
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    check_count("trials", trials, 1)
     rng = np.random.default_rng(seed)
     motions = [sample_motion(rng) for _ in range(trials)]
     moved_models = [transform_mlgp_weights(model, motion) for motion in motions]
@@ -305,11 +296,11 @@ def isometry_test(model, test_set, trials=100, seed=0):
     max_dev = 0.0
     for cols in eval_blocks(len(pts)):
         block, truth = pts[cols], labels[cols]
-        lifted = embed_input(model.layers[0], block)
+        lifted = embed_input(model, block)
         base_logits, _ = forward(model, None, lifted)
         counts[:, 0] += hits(base_logits, truth)
         for row, motion, moved_model in zip(counts, motions, moved_models):
-            moved = embed_input(model.layers[0], motion.apply(block))
+            moved = embed_input(model, motion.apply(block))
             logits_tt, _ = forward(moved_model, None, moved)
             max_dev = np.maximum(max_dev, np.abs(logits_tt - base_logits).max())  # keeps a NaN
             row[1:] += (hits(logits_tt, truth),

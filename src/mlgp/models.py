@@ -19,14 +19,13 @@ motion action (:func:`transform_mlgp_weights`): moving the input shape and
 the weights together leaves every activation unchanged.
 """
 
-import numbers
 from itertools import accumulate
 
 import numpy as np
 
 from . import _serialize
 from .conformal import RigidMotion, motor_matrix_sphere
-from .nn import Layer, eval_blocks, forward, softmax
+from .nn import Layer, check_count, check_labels, eval_blocks, forward, softmax
 
 MLP = "mlp"
 MLHP = "mlhp"
@@ -98,7 +97,7 @@ def transform_mlgp_weights(model, motion):
     logits, and the inverse motion's transform undoes this one.
     """
     if model.kind != MLGP:
-        raise ValueError("weight transform requires an mlgp model")
+        raise ValueError(f"weight transform requires an mlgp model, got {model.kind}")
     if not isinstance(motion, RigidMotion):
         raise TypeError("motion must be a RigidMotion")
     out = model.copy()
@@ -127,8 +126,7 @@ def hits(logits, labels):
 def accuracy(model, points, labels):
     """Fraction of shapes given their true label by :func:`predict`, counted block by block."""
     points, labels = np.asarray(points, dtype=float), np.asarray(labels)
-    if len(labels) != len(points):
-        raise ValueError(f"got {len(labels)} labels for {len(points)} shapes")
+    check_labels(points, labels)
     total = sum(hits(forward(model, points[cols])[0], labels[cols])
                 for cols in eval_blocks(len(points)))
     return total / len(points)
@@ -142,13 +140,11 @@ def save_checkpoint(path, kind, model, adam_step=0):
     """
     if kind != model.kind:
         raise ValueError(f"cannot save a {model.kind} model as {kind!r}")
-    if (isinstance(adam_step, bool) or not isinstance(adam_step, numbers.Integral)
-            or adam_step < 0):
-        raise ValueError(f"adam_step must be an integer >= 0, got {adam_step!r}")
+    check_count("adam_step", adam_step, 0)
     if not np.isfinite(model.theta).all():
         raise ValueError(f"cannot write {path}: theta is not finite")
     _serialize.save(path, {"format": CHECKPOINT_FORMAT, "model": kind,
-                           "adam_step": int(adam_step), "theta": model.theta})
+                           "adam_step": int(adam_step), "theta": model.theta.tolist()})
 
 
 def load_checkpoint(path):
@@ -165,14 +161,11 @@ def load_checkpoint(path):
         kind, adam_step, theta = doc["model"], doc["adam_step"], doc["theta"]
     except KeyError as exc:
         raise ValueError(f"malformed checkpoint {path}: missing {exc}") from None
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r} in {path}")
-    if type(adam_step) is not int or adam_step < 0:
-        raise ValueError(f"adam_step in {path} must be an integer >= 0, got {adam_step!r}")
     if not (isinstance(theta, list) and all(type(v) is float for v in theta)
             and np.isfinite(theta).all()):
         raise ValueError(f"theta in {path} must be a list of finite floats")
     try:
+        check_count("adam_step", adam_step, 0)
         return kind, Model(kind, np.array(theta)), adam_step
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

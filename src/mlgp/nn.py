@@ -13,13 +13,16 @@ hidden input.  Gradients pass back through the lift's adjoint, ``lift_grad``.
 Inside :func:`forward`, :func:`backward` and the loss, arrays are laid out as
 (features, batch): the classes are summed over axis 0, and ``dW = dz @ x.T``.
 The boundary stays batch-major: (batch, 4, 3) points, (batch, 8) logits and
-gradients as free ``.T`` views.  :func:`forward` is one pass over the batch it
-is given; large sets are scored in blocks of at most ``EVAL_BLOCK`` shapes
-(:func:`eval_blocks`) by ``models.accuracy``, ``models.predict`` and the
+gradients as free ``.T`` views.  :func:`embed_input` checks the input and lifts
+it, (in_dim, batch), for a fit to cache.  :func:`forward` is one pass over the
+batch it is given; large sets are scored in blocks of at most ``EVAL_BLOCK``
+shapes (:func:`eval_blocks`) by ``models.accuracy``, ``models.predict`` and the
 isometry test.  A fit builds the loss's :func:`one_hot` target once; the loss
 takes one ``exp``, floored at ``EXP_FLOOR``, and :class:`Adam` steps in the
 efficient form of Kingma & Ba's section 2 at their ``BETA1`` and ``BETA2``.
 """
+
+import numbers
 
 import numpy as np
 
@@ -45,30 +48,24 @@ class Layer:
         self.w = params[:n_w].reshape(out_dim, in_dim)
         self.b = params[n_w:] if group == 0 else None
 
-    @property
-    def pre_embed_dim(self):
-        """Width of the raw input this layer consumes, before any lift."""
-        return self.in_dim // (self.group + 2) * self.group if self.group else self.in_dim
+
+# every model reads a shape as its 4 points' 3 coordinates: 12 input values
+INPUT_DIM = 12
 
 
-def _features(points, layer):
-    """(m, batch) view of the (batch, ...) input to ``layer``."""
+def embed_input(model, points):
+    """First-layer lift of a (batch, 4, 3) input, feature-major (in_dim, batch).
+
+    Any (batch, ...) array of ``INPUT_DIM`` values per shape is accepted.  The
+    lift has no parameters, so a fit passes it to :func:`forward` once made.
+    """
     pts = np.asarray(points, dtype=float)
     if not len(pts):
         raise ValueError("no shapes to score")
     x = pts.reshape(len(pts), -1).T
-    if len(x) != layer.pre_embed_dim:
-        raise ValueError(f"layer expects {layer.pre_embed_dim} inputs, got {len(x)}")
-    return x
-
-
-def embed_input(layer, points):
-    """First-layer feature lift of a (batch, 4, 3) input, (batch, in_dim).
-
-    Parameter-free, so training loops may compute it once per dataset and
-    pass it to :func:`forward` as ``first_embedded``.
-    """
-    return lift(_features(points, layer), layer.group).T
+    if len(x) != INPUT_DIM:
+        raise ValueError(f"layer expects {INPUT_DIM} inputs, got {len(x)}")
+    return lift(x, model.layers[0].group)
 
 
 # the most shapes an evaluation block runs: its temporaries fit in memory
@@ -91,15 +88,14 @@ def eval_blocks(n):
 def forward(model, points, first_embedded=None):
     """Run a model on a batch of shapes, (batch, 4, 3), in one pass.
 
-    Returns ``(logits, trace)``: (batch, 8) logits and, per layer, the
-    (in_dim, batch) input its weights multiplied.  Between layers, the next
-    layer's lift, or a dense layer's ReLU, is the nonlinearity.  The pass
-    holds batch-sized temporaries, so large sets go through ``accuracy``,
-    ``predict`` or :func:`eval_blocks`.  One shape is a batch of one; a bare
-    (4, 3) shape raises ValueError.
+    Returns ``(logits, trace)``: (batch, 8) logits and, per layer, the (in_dim,
+    batch) input its weights multiplied, of which the first may be given as
+    ``first_embedded``.  Between layers, the next layer's lift or a dense
+    layer's ReLU is the nonlinearity.  The pass holds batch-sized temporaries,
+    so large sets go through ``accuracy``, ``predict`` or :func:`eval_blocks`.
+    One shape is a batch of one; a bare (4, 3) shape raises ValueError.
     """
-    first = model.layers[0]
-    h = lift(_features(points, first), first.group) if first_embedded is None else first_embedded.T
+    h = embed_input(model, points) if first_embedded is None else first_embedded
     trace = []
     for i, layer in enumerate(model.layers):
         if i:
@@ -205,6 +201,18 @@ def check_adam_settings(lr):
     """Raise ValueError unless the learning rate is finite and positive."""
     if not (lr > 0.0 and np.isfinite(lr)):
         raise ValueError(f"learning rate must be finite and positive, got {lr}")
+
+
+def check_count(name, value, least):
+    """Raise ValueError unless ``value`` is an integer, not a bool, >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_labels(points, labels):
+    """Raise ValueError unless there is one label per shape."""
+    if len(labels) != len(points):
+        raise ValueError(f"got {len(labels)} labels for {len(points)} shapes")
 
 
 class Adam:

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import _serialize
 from .conformal import RigidMotion, rotation_about_axis
+from .nn import check_count
 
 TWO_PI = 2.0 * np.pi
 
@@ -152,8 +153,7 @@ def make_dataset(kind, size, noise_a=0.0, seed=0):
     i.i.d. uniform in (-noise_a, noise_a) per coordinate.  Identical arguments
     give bit-identical datasets.
     """
-    if size < NUM_CLASSES:
-        raise ValueError(f"size must be at least {NUM_CLASSES}")
+    check_count("size", size, NUM_CLASSES)
     if not (noise_a >= 0.0 and np.isfinite(2.0 * noise_a)):  # the width of (-a, a)
         raise ValueError(f"noise amplitude must be nonnegative with 2a finite, got {noise_a}")
     a = float(noise_a)

@@ -275,7 +275,7 @@ def test_isometry_test_and_export_spheres_reject_v1_checkpoint(tmp_path, capsys)
     _serialize.save(ckpt, {
         "format": "mlgp-checkpoint-v1", "model": "mlgp", "adam_step": 5,
         "layers": [{"kind": kind, "in_dim": layer.in_dim, "out_dim": layer.out_dim,
-                    "activation": activation, "weights": layer.w, "bias": None}
+                    "activation": activation, "weights": layer.w.tolist(), "bias": None}
                    for layer, (kind, activation) in zip(layers, specs)],
     })
     test = tmp_path / "test.csv"

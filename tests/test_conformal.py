@@ -152,6 +152,14 @@ def test_rigid_motion_validation():
         RigidMotion(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
     with pytest.raises(ValueError):
         RigidMotion(np.eye(3), np.zeros(2))
+    # a NaN fails every comparison, so it must be rejected before the
+    # orthogonality and determinant checks
+    nan_rotation = np.eye(3)
+    nan_rotation[0, 0] = np.nan
+    for rotation, translation in ((nan_rotation, np.zeros(3)), (np.eye(3), [0.0, np.nan, 0.0]),
+                                  (np.eye(3), [0.0, 0.0, np.inf])):
+        with pytest.raises(ValueError, match="must be finite"):
+            RigidMotion(rotation, translation)
 
 
 def test_rigid_motion_apply_compose_inverse():

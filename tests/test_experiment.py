@@ -122,6 +122,16 @@ def test_fit_rejects_negative_or_non_integer_epochs():
     assert fit(model, data.points, data.labels, np.int64(2)).shape == (2,)
 
 
+def test_fit_rejects_a_label_count_other_than_the_shape_count():
+    model = build_model("mlgp", np.random.default_rng(46))
+    before = model.theta.copy()
+    data = make_dataset("main", 16, seed=47)
+    for labels in (data.labels[:15], np.append(data.labels, 0)):
+        with pytest.raises(ValueError, match=f"got {len(labels)} labels for 16 shapes"):
+            fit(model, data.points, labels, 3)
+    assert np.array_equal(model.theta, before)
+
+
 def test_fit_reduces_loss():
     rng = np.random.default_rng(42)
     data = make_dataset("main", 64, seed=43)

@@ -308,6 +308,11 @@ def test_checkpoint_rejects_theta_of_another_models_size(tmp_path):
     _rejected(path, lambda doc: doc["theta"].pop(), "size 128")
 
 
+def test_checkpoint_rejects_unknown_model_kind(tmp_path):
+    for bad in ("nope", ["mlgp"], None):
+        _rejected(tmp_path / "ckpt.json", lambda doc: doc.update(model=bad), "unknown model kind")
+
+
 def test_checkpoint_rejects_non_integer_adam_step_string(tmp_path):
     for bad in ("abc", "5"):
         _rejected(tmp_path / "ckpt.json", lambda doc: doc.update(adam_step=bad), "adam_step")

@@ -47,13 +47,14 @@ def test_pointwise_lift_examples():
 def test_embed_input_batch_and_validation():
     rng = np.random.default_rng(1)
     batch = rng.uniform(-3, 3, (6, 4, 3))
-    first = build_model("mlgp").layers[0]
-    v = embed_input(first, batch)
-    assert v.shape == (6, 20)
-    for i in range(6):
-        assert np.array_equal(v[i], lift_points(batch[i]))
-    with pytest.raises(ValueError):
-        embed_input(first, np.zeros((4, 2)))
+    model = build_model("mlgp")
+    # feature-major, (in_dim, batch): column c is shape c's lift
+    v = embed_input(model, batch)
+    assert v.shape == (20, 6)
+    for c in range(6):
+        assert np.array_equal(v[:, c], lift_points(batch[c]))
+    with pytest.raises(ValueError, match="layer expects 12 inputs, got 2"):
+        embed_input(model, np.zeros((4, 2)))
 
 
 def test_layer_construction():
@@ -76,8 +77,6 @@ def test_layer_construction():
     # no rng -> zero parameters
     zero = build_model("mlgp").layers[0]
     assert not zero.w.any() and zero.b is None
-    assert zero.pre_embed_dim == 12
-    assert build_model("mlhp").layers[0].pre_embed_dim == 12
 
 
 def test_geometric_neuron_decomposes_into_spheres():
@@ -128,10 +127,11 @@ def test_forward_zero_weights_and_shapes():
     # the trace is each layer's feature-major (in_dim, batch) input
     assert trace[0].shape == (20, 1)
     assert trace[1].shape == (6, 1)
-    # one bare (4, 3) shape is not a batch; nor is a (5, 3) one
-    for bad in (pts[0], np.zeros((5, 3))):
-        with pytest.raises(ValueError, match="expects 12 inputs"):
-            forward(model, bad)
+    # one bare (4, 3) shape is not a batch; nor is a (5, 3) one, for any kind
+    for kind in MODEL_KINDS:
+        for bad in (pts[0], np.zeros((5, 3))):
+            with pytest.raises(ValueError, match="expects 12 inputs"):
+                forward(build_model(kind), bad)
 
 
 def test_forward_matches_direct_matrix_evaluation():
@@ -161,10 +161,21 @@ def test_forward_with_precomputed_embedding():
     rng = np.random.default_rng(8)
     model = build_model("mlgp", rng)
     batch = rng.uniform(-3, 3, (5, 4, 3))
-    first = embed_input(model.layers[0], batch)
-    a, _ = forward(model, batch)
+    first = embed_input(model, batch)
+    a, trace = forward(model, batch)
     b, _ = forward(model, batch, first_embedded=first)
     assert np.array_equal(a, b)
+    # the cached lift is the first traced input, in the same layout
+    assert np.array_equal(first, trace[0]) and first.strides == trace[0].strides
+
+
+def test_forward_accepts_a_flattened_batch():
+    # any (batch, ...) input of 12 values per shape is a batch of shapes
+    rng = np.random.default_rng(12)
+    batch = rng.uniform(-3, 3, (5, 4, 3))
+    for kind in MODEL_KINDS:
+        model = build_model(kind, rng)
+        assert np.array_equal(forward(model, batch.reshape(5, 12))[0], forward(model, batch)[0])
 
 
 def test_evaluation_blocks_reproduce_the_traced_forward():
@@ -181,10 +192,10 @@ def test_evaluation_blocks_reproduce_the_traced_forward():
             assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
             assert max(b.stop - b.start for b in blocks) <= EVAL_BLOCK
             want, _ = forward(model, pts[:n])
-            first = embed_input(model.layers[0], pts[:n])
+            first = embed_input(model, pts[:n])
             # block by block, from the points or from their first-layer lift
             by_points = [forward(model, pts[c])[0] for c in blocks]
-            by_lift = [forward(model, None, first[c])[0] for c in blocks]
+            by_lift = [forward(model, None, first[:, c])[0] for c in blocks]
             for got in (by_points, by_lift):
                 assert np.array_equal(np.concatenate(got), want), (kind, n)
             got_labels, probs = predict(model, pts[:n])

@@ -161,8 +161,11 @@ def test_make_dataset_basics():
     assert np.array_equal(data.labels, np.arange(40) % NUM_CLASSES)
     with pytest.raises(ValueError):
         make_dataset("nope", 40)
-    with pytest.raises(ValueError):
-        make_dataset(MAIN, 4)
+    # the size is an integer count of at least one shape per class
+    for size in (4, 8.5, 64.0, "64", True):
+        with pytest.raises(ValueError, match="size must be an integer >= 8"):
+            make_dataset(MAIN, size)
+    assert len(make_dataset(MAIN, np.int64(8))) == 8
     with pytest.raises(ValueError):
         make_dataset(MAIN, 40, noise_a=-0.1)
     for noise in (float("nan"), float("inf"), 1e308):
