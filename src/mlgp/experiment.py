@@ -19,10 +19,10 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from . import _serialize, tetris
-from .conformal import DegenerateSphereError, extract_center_radius_sq, point_normalize
+from .conformal import DegenerateSphereError, extract_center_radius_sq, lift, point_normalize
 from .models import MLGP, MODEL_KINDS, accuracy, build_model, hits, transform_mlgp_weights
-from .nn import (Adam, backward, check_adam_settings, check_count, check_labels, embed_input,
-                 eval_blocks, forward, one_hot, softmax_cross_entropy)
+from .nn import (Adam, backward, check_count, check_labels, check_real, embed_input, eval_blocks,
+                 forward, one_hot, softmax_cross_entropy)
 from .tetris import make_dataset, sample_motion
 
 MAIN_EXPERIMENT = "main"
@@ -69,7 +69,7 @@ class ProtocolConfig:
         for name, least in (("runs", 1), ("epochs", 0), ("top_k", 1),
                             ("train_size", n), ("val_size", n), ("test_size", n)):
             check_count(name, getattr(self, name), least)
-        check_adam_settings(self.lr)
+        check_real("learning rate", self.lr, 0.0)
 
     def desk_scale(self):
         """Small-footprint variant: 5 runs, 10000-sample test set."""
@@ -155,9 +155,8 @@ def fit(model, points, labels, epochs, lr=ProtocolConfig.lr):
     one-hot target are computed once and reused every epoch.
     """
     check_count("epochs", epochs, 0)
-    check_labels(points, labels)
+    target = one_hot(check_labels(labels, len(points)))
     first = embed_input(model, points)
-    target = one_hot(labels)
     opt = Adam(model.theta, lr)
     losses = np.empty(epochs)
     for epoch in range(epochs):
@@ -281,11 +280,13 @@ def isometry_test(model, test_set, trials=100, seed=0):
 
     Each trial draws one motion (all up front), moves the first-layer weights
     with it, and scores all four model/data combinations.  Test blocks are the
-    outer loop and trials the inner: a block is lifted once unmoved and once
-    per trial moved, so the call holds one block's temporaries and O(trials)
-    moved models (~3 KB each), nothing sized by the test set.  The matched
-    combination must reproduce the original logits to within rounding, so its
-    accuracy column is constant; the mismatched combinations degrade.
+    outer loop and trials the inner: a block is checked and lifted once, and
+    per trial its coordinates are moved feature-major and lifted, so the call
+    holds one block's temporaries and O(trials) moved models (~3 KB each),
+    nothing sized by the test set.  ``models.hits`` counts with no per-row
+    argmax.  The matched combination must reproduce the original logits to
+    within rounding, so its accuracy column is constant; the mismatched
+    combinations degrade.
     """
     check_count("trials", trials, 1)
     rng = np.random.default_rng(seed)
@@ -296,11 +297,16 @@ def isometry_test(model, test_set, trials=100, seed=0):
     max_dev = 0.0
     for cols in eval_blocks(len(pts)):
         block, truth = pts[cols], labels[cols]
-        lifted = embed_input(model, block)
+        lifted, n = embed_input(model, block), len(truth)
+        # column p * n + j holds point p of shape j: one product moves them all, rounded as
+        # in RigidMotion.apply (a product per point would take NumPy's gemv when n is 1)
+        xyz = np.ascontiguousarray(block.T, dtype=float).reshape(3, -1)
         base_logits, _ = forward(model, None, lifted)
         counts[:, 0] += hits(base_logits, truth)
         for row, motion, moved_model in zip(counts, motions, moved_models):
-            moved = embed_input(model, motion.apply(block))
+            moved = motion.rotation @ xyz
+            moved += motion.translation[:, None]
+            moved = lift(moved.reshape(3, -1, n).swapaxes(0, 1).reshape(-1, n), 3)
             logits_tt, _ = forward(moved_model, None, moved)
             max_dev = np.maximum(max_dev, np.abs(logits_tt - base_logits).max())  # keeps a NaN
             row[1:] += (hits(logits_tt, truth),

@@ -56,8 +56,8 @@ INPUT_DIM = 12
 def embed_input(model, points):
     """First-layer lift of a (batch, 4, 3) input, feature-major (in_dim, batch).
 
-    Any (batch, ...) array of ``INPUT_DIM`` values per shape is accepted.  The
-    lift has no parameters, so a fit passes it to :func:`forward` once made.
+    Any (batch, ...) array of ``INPUT_DIM`` finite values per shape is accepted.
+    The lift has no parameters, so a fit passes it to :func:`forward` once made.
     """
     pts = np.asarray(points, dtype=float)
     if not len(pts):
@@ -65,6 +65,8 @@ def embed_input(model, points):
     x = pts.reshape(len(pts), -1).T
     if len(x) != INPUT_DIM:
         raise ValueError(f"layer expects {INPUT_DIM} inputs, got {len(x)}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     return lift(x, model.layers[0].group)
 
 
@@ -161,10 +163,7 @@ def one_hot(labels):
     It is the ``.T`` view of a C-contiguous (8, batch) array, the layout
     :func:`softmax_cross_entropy` reads, so a training loop builds it once.
     """
-    labels = np.asarray(labels)
-    if not (labels.ndim == 1 and np.issubdtype(labels.dtype, np.integer)
-            and np.all((labels >= 0) & (labels < 8))):
-        raise ValueError("labels must be a vector of integers in 0..7")
+    labels = check_labels(labels)
     target = np.zeros((8, len(labels)))
     target[labels, np.arange(len(labels))] = 1.0
     return target.T
@@ -197,22 +196,28 @@ EPS = 1e-8
 BETA1, BETA2 = 0.9, 0.999
 
 
-def check_adam_settings(lr):
-    """Raise ValueError unless the learning rate is finite and positive."""
-    if not (lr > 0.0 and np.isfinite(lr)):
-        raise ValueError(f"learning rate must be finite and positive, got {lr}")
-
-
 def check_count(name, value, least):
     """Raise ValueError unless ``value`` is an integer, not a bool, >= ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def check_labels(points, labels):
-    """Raise ValueError unless there is one label per shape."""
-    if len(labels) != len(points):
-        raise ValueError(f"got {len(labels)} labels for {len(points)} shapes")
+def check_real(name, value, low=-np.inf):
+    """``value`` as a float: ValueError unless a real number, not a bool, in (``low``, inf)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not low < value < np.inf:
+        raise ValueError(f"{name} must be a real number in ({low}, inf), got {value!r}")
+    return float(value)
+
+
+def check_labels(labels, count=None):
+    """``labels`` as an array: ValueError unless a vector of integers in 0..7, ``count`` long."""
+    labels = np.asarray(labels)
+    if not (labels.ndim == 1 and np.issubdtype(labels.dtype, np.integer)
+            and np.all((labels >= 0) & (labels < 8))):
+        raise ValueError("labels must be a vector of integers in 0..7")
+    if count is not None and len(labels) != count:
+        raise ValueError(f"got {len(labels)} labels for {count} shapes")
+    return labels
 
 
 class Adam:
@@ -224,7 +229,7 @@ class Adam:
     """
 
     def __init__(self, theta, lr):
-        check_adam_settings(lr)
+        check_real("learning rate", lr, 0.0)
         self.theta = theta
         self.lr = lr
         self.t = 0

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _serialize
 from .conformal import RigidMotion, rotation_about_axis
-from .nn import check_count
+from .nn import check_count, check_real
 
 TWO_PI = 2.0 * np.pi
 
@@ -154,9 +154,9 @@ def make_dataset(kind, size, noise_a=0.0, seed=0):
     give bit-identical datasets.
     """
     check_count("size", size, NUM_CLASSES)
-    if not (noise_a >= 0.0 and np.isfinite(2.0 * noise_a)):  # the width of (-a, a)
+    a = check_real("noise amplitude", noise_a)
+    if not (a >= 0.0 and np.isfinite(2.0 * a)):  # the width of (-a, a)
         raise ValueError(f"noise amplitude must be nonnegative with 2a finite, got {noise_a}")
-    a = float(noise_a)
     rng = np.random.default_rng(seed)
     labels = np.arange(size, dtype=np.int64) % NUM_CLASSES
     points = np.empty((size, POINTS_PER_SHAPE, 3))

@@ -1,5 +1,6 @@
 """Tests for the protocol, statistics, isometry test, and sphere export."""
 
+import itertools
 import json
 import re
 import tracemalloc
@@ -8,8 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mlgp import nn
-from mlgp.conformal import sphere_from_center_radius
+from mlgp import experiment, nn
+from mlgp.conformal import lift, sphere_from_center_radius
 from mlgp.experiment import (
     COMBO_NAMES,
     RECORDS_HEADER,
@@ -31,7 +32,7 @@ from mlgp.experiment import (
     train,
 )
 from mlgp.models import MODEL_KINDS, accuracy, build_model, predict, transform_mlgp_weights
-from mlgp.nn import EVAL_BLOCK, forward
+from mlgp.nn import EVAL_BLOCK, embed_input, forward
 from mlgp.tetris import (DATASET_HEADER, THETA_EVAL, LabeledShapeSet, make_dataset,
                          sample_motion)
 
@@ -74,7 +75,7 @@ def test_config_validation():
             ProtocolConfig(**{name: bad})
     ProtocolConfig(runs=np.int64(1), epochs=0, top_k=1, train_size=8, val_size=8, test_size=8)
     # Adam settings fail at construction, before any data is sampled
-    for bad in (-1.0, np.inf, np.nan):
+    for bad in (-1.0, np.inf, np.nan, "0.1", True, None):
         with pytest.raises(ValueError, match="learning rate"):
             ProtocolConfig(lr=bad)
     for kinds in ((), ("mlp", "mlp"), ("mlgp", "mlp", "mlgp")):
@@ -130,6 +131,21 @@ def test_fit_rejects_a_label_count_other_than_the_shape_count():
         with pytest.raises(ValueError, match=f"got {len(labels)} labels for 16 shapes"):
             fit(model, data.points, labels, 3)
     assert np.array_equal(model.theta, before)
+
+
+def test_fit_rejects_a_learning_rate_that_is_not_a_positive_real_number():
+    model = build_model("mlp", np.random.default_rng(48))
+    before = model.theta.copy()
+    data = make_dataset("main", 16, seed=49)
+    for lr in ("0.1", True, None, 0.0, np.nan):
+        with pytest.raises(ValueError, match="^learning rate must be a real number in"):
+            fit(model, data.points, data.labels, 2, lr)
+    assert np.array_equal(model.theta, before)
+    # a NumPy float trains as the same Python float does
+    a, b = model.copy(), model.copy()
+    assert np.array_equal(fit(a, data.points, data.labels, 3, np.float64(0.01)),
+                          fit(b, data.points, data.labels, 3, 0.01))
+    assert np.array_equal(a.theta, b.theta)
 
 
 def test_fit_reduces_loss():
@@ -321,6 +337,38 @@ def test_isometry_test_matches_the_whole_batch_reference():
     assert report.max_logit_deviation == max_dev
     for name in COMBO_NAMES:
         assert np.array_equal(report.accuracies[name], accs[name]), name
+
+
+def test_isometry_test_moves_each_block_as_rigid_motion_apply(monkeypatch):
+    # every trial's moved block, moved feature-major, is lifted bit for bit as
+    # the lift of RigidMotion.apply's batch-major move, one-shape blocks too
+    model = make_small_trained_mlgp()
+    moved_lifts = []
+
+    def recorded_lift(x, group):
+        moved_lifts.append(lift(x, group))
+        return moved_lifts[-1]
+
+    monkeypatch.setattr(experiment, "lift", recorded_lift)
+    trials = 100
+    for n, noise_a in itertools.product((1, 63, EVAL_BLOCK), (0.0, 0.2)):
+        data = make_dataset("main", max(n, 8), noise_a, seed=n)
+        test_set = LabeledShapeSet(data.points[:n], data.labels[:n])
+        moved_lifts.clear()
+        report = isometry_test(model, test_set, trials, seed=n)
+        assert report.equality_holds, (n, noise_a)
+        rng = np.random.default_rng(n)
+        assert len(moved_lifts) == trials
+        for t, got in enumerate(moved_lifts):
+            want = embed_input(model, sample_motion(rng).apply(test_set.points))
+            assert np.array_equal(got, want), (n, noise_a, t)
+
+
+def test_isometry_test_rejects_non_finite_points():
+    data = make_dataset("main", 16, seed=68)
+    data.points[5, 0, 2] = np.nan
+    with pytest.raises(ValueError, match="^points must be finite$"):
+        isometry_test(make_small_trained_mlgp(), data, trials=2)
 
 
 def _peak_bytes(call):

@@ -13,6 +13,7 @@ from mlgp.models import (
     Model,
     accuracy,
     build_model,
+    hits,
     load_checkpoint,
     predict,
     save_checkpoint,
@@ -84,6 +85,48 @@ def test_accuracy():
     # one label for 20000 shapes would broadcast against all of them
     with pytest.raises(ValueError, match="1 labels for 20000 shapes"):
         accuracy(model, data.points, data.labels[:1])
+
+
+def argmax_hits(logits, labels):
+    return int(np.count_nonzero(np.argmax(logits, axis=1) == labels))
+
+
+def test_hits_is_the_np_argmax_count():
+    # ties, signed zeros, infinities and NaNs, with a NaN at every class
+    # position: the first top class wins, and the first NaN over any number
+    rng = np.random.default_rng(62)
+    values = np.array([0.0, -0.0, 1.0, -1.0, 2.0, np.inf, -np.inf, np.nan])
+    logits = rng.choice(values, (4000, 8))
+    logits[:64] = rng.choice(values[:7], (64, 8))
+    logits[np.arange(64), np.arange(64) % 8] = np.nan
+    for layout in (logits, np.asfortranarray(logits)):
+        for c in range(8):  # every class as everyone's label
+            assert hits(layout, np.full(len(logits), c)) == argmax_hits(logits, c), c
+        labels = rng.integers(0, 8, len(logits))
+        assert hits(layout, labels) == argmax_hits(logits, labels)
+        for i in range(0, 200, 7):  # one-row batches
+            row = slice(i, i + 1)
+            assert hits(layout[row], labels[row]) == argmax_hits(logits[row], labels[row]), i
+
+
+def test_an_all_zero_model_ties_every_row_to_label_0():
+    data = make_dataset("main", 64, seed=63)
+    for kind in MODEL_KINDS:
+        logits = forward(build_model(kind), data.points)[0]
+        assert np.array_equal(logits, np.zeros((64, 8))), kind
+        for c in range(8):
+            assert hits(logits, np.full(64, c)) == (64 if c == 0 else 0), (kind, c)
+        assert accuracy(build_model(kind), data.points, data.labels) == 1 / 8, kind
+
+
+def test_accuracy_rejects_labels_that_are_not_a_vector_of_classes():
+    # a column of labels would broadcast against the predictions (an
+    # accuracy of 2.0 on 16 shapes), and float or out-of-range ones match none
+    model = build_model("mlp", np.random.default_rng(64))
+    data = make_dataset("main", 16, seed=65)
+    for labels in (data.labels[:, None], data.labels + 0.5, data.labels + 8, data.labels - 1):
+        with pytest.raises(ValueError, match="labels must be a vector of integers in 0..7"):
+            accuracy(model, data.points, labels)
 
 
 def test_model_copy_is_independent():

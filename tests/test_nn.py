@@ -57,6 +57,23 @@ def test_embed_input_batch_and_validation():
         embed_input(model, np.zeros((4, 2)))
 
 
+def test_every_entry_rejects_non_finite_points():
+    # fit, forward, predict and accuracy all lift through embed_input, which
+    # names the fault instead of training or scoring NaN
+    data = make_dataset("main", 16, seed=66)
+    for kind, bad in zip(MODEL_KINDS, (np.nan, np.inf, -np.inf)):
+        model = build_model(kind, np.random.default_rng(67))
+        points = data.points.copy()
+        points[3, 2, 1] = bad
+        calls = (lambda: fit(model, points, data.labels, 2),
+                 lambda: forward(model, points),
+                 lambda: predict(model, points),
+                 lambda: accuracy(model, points, data.labels))
+        for call in calls:
+            with pytest.raises(ValueError, match="^points must be finite$"):
+                call()
+
+
 def test_layer_construction():
     rng = np.random.default_rng(2)
     model = build_model("mlp", rng)

@@ -171,6 +171,12 @@ def test_make_dataset_basics():
     for noise in (float("nan"), float("inf"), 1e308):
         with pytest.raises(ValueError, match="noise"):
             make_dataset(MAIN, 40, noise_a=noise)
+    # a string or a bool is not an amplitude; a NumPy float is
+    for noise in ("0.1", True, None):
+        with pytest.raises(ValueError, match="^noise amplitude must be a real number"):
+            make_dataset(MAIN, 8, noise)
+    assert np.array_equal(make_dataset(MAIN, 8, np.float64(0.1), 3).points,
+                          make_dataset(MAIN, 8, 0.1, 3).points)
 
 
 def test_make_dataset_deterministic():
