@@ -5,11 +5,14 @@ each float as the shortest decimal string that parses back to the same
 double, so reloads are bit-exact (-0.0 and subnormals included).  Key trees
 are JSON from the standard library, where a non-finite float raises
 ValueError instead of producing invalid JSON.  Tables are CSV: a header,
-then one line of comma-joined ``str`` values per row.
+then one line of comma-joined ``str`` values per row; load_array parses one in C.
 """
 
 import json
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 
 def save(path, obj):
@@ -50,3 +53,19 @@ def load_table(path, header, types):
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
             yield values
+
+
+def load_array(path, header, dtype):
+    """:func:`load_table`'s rows as a structured ``dtype`` array, parsed in C to the values
+    ``int()`` and ``float()`` give; None for a file that NumPy refuses or warns about.
+    """
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning, as for a table of no rows, refuses the file
+        try:  # NumPy strips \x1c-\x1f around a field; int() and float() refuse them
+            if fh.readline().rstrip("\n") != header or any(
+                    c in chunk for chunk in iter(lambda: fh.read(1 << 16), "") for c in "\x1c\x1d\x1e\x1f"):
+                return None
+            fh.seek(0)
+            return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
+        except (ValueError, Warning):  # UnicodeDecodeError included
+            return None

@@ -19,11 +19,11 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from . import _serialize, tetris
-from .conformal import DegenerateSphereError, extract_center_radius_sq, lift, point_normalize
+from .conformal import DegenerateSphereError, RigidMotion, extract_center_radius_sq, lift, point_normalize
 from .models import MLGP, MODEL_KINDS, accuracy, build_model, hits, transform_mlgp_weights
 from .nn import (Adam, backward, check_count, check_labels, check_real, embed_input, eval_blocks,
                  forward, one_hot, softmax_cross_entropy)
-from .tetris import make_dataset, sample_motion
+from .tetris import make_dataset
 
 MAIN_EXPERIMENT = "main"
 THETA_EXPERIMENT = "theta"
@@ -278,19 +278,20 @@ class IsometryReport:
 def isometry_test(model, test_set, trials=100, seed=0):
     """Compare weight-space and data-space rigid motions on a trained model.
 
-    Each trial draws one motion (all up front), moves the first-layer weights
-    with it, and scores all four model/data combinations.  Test blocks are the
-    outer loop and trials the inner: a block is checked and lifted once, and
-    per trial its coordinates are moved feature-major and lifted, so the call
-    holds one block's temporaries and O(trials) moved models (~3 KB each),
-    nothing sized by the test set.  ``models.hits`` counts with no per-row
-    argmax.  The matched combination must reproduce the original logits to
-    within rounding, so its accuracy column is constant; the mismatched
-    combinations degrade.
+    Each trial's motion, drawn in one block as successive ``sample_motion``
+    calls draw them, moves the first-layer weights; all four model/data
+    combinations are scored.  Test blocks are the outer loop and trials the
+    inner: a block is checked and lifted once, and per trial its coordinates
+    are moved feature-major and lifted, so the call holds one block's
+    temporaries and O(trials) moved models (~3 KB each), nothing sized by the
+    test set.  ``models.hits`` counts with no per-row argmax.  The matched
+    combination must reproduce the original logits to within rounding, so its
+    accuracy column is constant; the mismatched combinations degrade.
     """
     check_count("trials", trials, 1)
     rng = np.random.default_rng(seed)
-    motions = [sample_motion(rng) for _ in range(trials)]
+    rotations, shifts, _ = tetris._draw_motions(rng, tetris.MAIN, trials, 0.0)
+    motions = list(map(RigidMotion, rotations, shifts))
     moved_models = [transform_mlgp_weights(model, motion) for motion in motions]
     pts, labels = test_set.points, test_set.labels
     counts = np.zeros((trials, len(COMBO_NAMES)), dtype=int)  # hits, one row per trial

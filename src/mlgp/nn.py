@@ -204,9 +204,13 @@ def check_count(name, value, least):
 
 def check_real(name, value, low=-np.inf):
     """``value`` as a float: ValueError unless a real number, not a bool, in (``low``, inf)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not low < value < np.inf:
+    try:
+        real = np.nan if isinstance(value, bool) or not isinstance(value, numbers.Real) else float(value)
+    except OverflowError:  # an int past the float range
+        real = np.inf
+    if not low < real < np.inf:
         raise ValueError(f"{name} must be a real number in ({low}, inf), got {value!r}")
-    return float(value)
+    return real
 
 
 def check_labels(labels, count=None):

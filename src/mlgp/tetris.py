@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _serialize
 from .conformal import RigidMotion, rotation_about_axis
-from .nn import check_count, check_real
+from .nn import check_count, check_labels, check_real
 
 TWO_PI = 2.0 * np.pi
 
@@ -70,6 +70,7 @@ DATASET_ANGLES = {
 
 DATASET_HEADER = "label," + ",".join(f"{axis}{i}" for i in range(1, 5) for axis in "xyz")
 _DATASET_TYPES = (int,) + (float,) * 3 * POINTS_PER_SHAPE
+_DATASET_DTYPE = np.dtype([("label", np.int64), ("xyz", float, (3 * POINTS_PER_SHAPE,))])
 
 
 def canonical_shapes():
@@ -173,27 +174,31 @@ def make_dataset(kind, size, noise_a=0.0, seed=0):
 def save_dataset(dataset, path):
     """Write a dataset as CSV: label plus 12 coordinates per row.
 
-    The floats reload bit-exact.  Non-finite coordinates, which
-    :func:`load_dataset` refuses, raise ValueError.
+    The floats reload bit-exact.  What :func:`load_dataset` refuses raises
+    ValueError first: labels that are not one class per shape, or shapes
+    that are not 12 finite coordinates, or none.
     """
-    if not np.all(np.isfinite(dataset.points)):
-        raise ValueError("cannot save a dataset with a non-finite coordinate")
-    labeled = zip(dataset.labels.tolist(), dataset.points)
-    rows = ([label, *pts.ravel().tolist()] for label, pts in labeled)
-    _serialize.save_table(path, DATASET_HEADER, rows)
+    points = np.asarray(dataset.points, dtype=float)
+    labels = check_labels(dataset.labels, len(points))
+    if not len(points) or not np.all(np.isfinite(points)):
+        raise ValueError("cannot save a dataset with no shapes or a non-finite coordinate")
+    labeled = zip(labels.tolist(), points.reshape(len(points), 3 * POINTS_PER_SHAPE))
+    _serialize.save_table(path, DATASET_HEADER, ([label, *xyz.tolist()] for label, xyz in labeled))
 
 
 def load_dataset(path):
-    """Read a dataset written by :func:`save_dataset`; it holds at least one shape."""
-    labels, coords = [], []
-    for label, *xyz in _serialize.load_table(path, DATASET_HEADER, _DATASET_TYPES):
-        if not 0 <= label < NUM_CLASSES:
-            raise ValueError(f"label {label} out of range in {path}")
-        labels.append(label)
-        coords.append(xyz)
-    if not labels:
+    """Read a nonempty dataset written by :func:`save_dataset`, parsed in C where NumPy can."""
+    table = _serialize.load_array(path, DATASET_HEADER, _DATASET_DTYPE)
+    if table is None or not np.all((table["label"] >= 0) & (table["label"] < NUM_CLASSES)):
+        rows = []  # the row parser loads the file or names its first bad line or label
+        for label, *xyz in _serialize.load_table(path, DATASET_HEADER, _DATASET_TYPES):
+            if not 0 <= label < NUM_CLASSES:
+                raise ValueError(f"label {label} out of range in {path}")
+            rows.append((label, xyz))
+        table = np.array(rows, _DATASET_DTYPE)
+    if not len(table):
         raise ValueError(f"no shapes in {path}")
-    points = np.asarray(coords, dtype=float).reshape(-1, POINTS_PER_SHAPE, 3)
+    points = np.ascontiguousarray(table["xyz"]).reshape(-1, POINTS_PER_SHAPE, 3)
     if not np.all(np.isfinite(points)):
         raise ValueError(f"non-finite coordinate in {path}")
-    return LabeledShapeSet(points, np.asarray(labels, dtype=np.int64))
+    return LabeledShapeSet(points, np.ascontiguousarray(table["label"]))

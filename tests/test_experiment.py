@@ -137,7 +137,7 @@ def test_fit_rejects_a_learning_rate_that_is_not_a_positive_real_number():
     model = build_model("mlp", np.random.default_rng(48))
     before = model.theta.copy()
     data = make_dataset("main", 16, seed=49)
-    for lr in ("0.1", True, None, 0.0, np.nan):
+    for lr in ("0.1", True, None, 0.0, np.nan, 10**400):
         with pytest.raises(ValueError, match="^learning rate must be a real number in"):
             fit(model, data.points, data.labels, 2, lr)
     assert np.array_equal(model.theta, before)

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mlgp.tetris import (
     _CANONICAL,
     DATASET_ANGLES,
     DATASET_HEADER,
+    LabeledShapeSet,
     MAIN,
     NUM_CLASSES,
     POINTS_PER_SHAPE,
@@ -172,7 +174,7 @@ def test_make_dataset_basics():
         with pytest.raises(ValueError, match="noise"):
             make_dataset(MAIN, 40, noise_a=noise)
     # a string or a bool is not an amplitude; a NumPy float is
-    for noise in ("0.1", True, None):
+    for noise in ("0.1", True, None, 10**400):
         with pytest.raises(ValueError, match="^noise amplitude must be a real number"):
             make_dataset(MAIN, 8, noise)
     assert np.array_equal(make_dataset(MAIN, 8, np.float64(0.1), 3).points,
@@ -338,3 +340,84 @@ def test_save_dataset_rejects_non_finite(tmp_path):
         with pytest.raises(ValueError, match="non-finite"):
             save_dataset(data, path)
         assert not path.exists()
+
+
+def test_save_dataset_refuses_what_load_dataset_refuses(tmp_path):
+    data = make_dataset(MAIN, 10, seed=38)
+    path = tmp_path / "bad.csv"
+    bad = (
+        (data.points, data.labels[:5], "got 5 labels for 10 shapes"),
+        (data.points, data.labels + 0.5, "labels must be a vector"),
+        (data.points, np.full(10, NUM_CLASSES), "labels must be a vector"),
+        (data.points, data.labels[:, None], "labels must be a vector"),
+        (data.points[:, :2], data.labels, "cannot reshape"),
+        (data.points[:0], data.labels[:0], "no shapes"),
+    )
+    for points, labels, why in bad:
+        with pytest.raises(ValueError, match=why):
+            save_dataset(LabeledShapeSet(points, labels), path)
+        assert not path.exists()
+
+
+def _coordinates_file(path, fields):
+    """A dataset file of label 1 and these coordinate strings, 12 per row."""
+    rows = (",".join(["1", *fields[i:i + 12]]) for i in range(0, len(fields), 12))
+    path.write_text(DATASET_HEADER + "\n" + "\n".join(rows) + "\n")
+
+
+def test_load_dataset_parses_each_coordinate_as_float_does(tmp_path):
+    rng = np.random.default_rng(39)
+    fields = ["5e-324", "-5e-324", "2.2250738585072009e-308", "2.2250738585072014e-308",
+              "1.7976931348623157e308", "-1.7976931348623157e308", "-0.0", "0.0",
+              "2.4703282292062327e-324", "2.4703282292062328e-324", "1e400", "-1e-400"]
+    fields = [f for f in fields if np.isfinite(float(f))]
+    fields += map(repr, (rng.standard_normal(30) * 10.0 ** rng.integers(-300, 300, 30)).tolist())
+    for digits in range(17, 41):
+        fields.append("".join(map(str, rng.integers(0, 10, digits))) + f"e-{digits + 3}")
+        fields.append("-0." + "".join(map(str, rng.integers(0, 10, digits))))
+    fields += map(repr, rng.random(12 - len(fields) % 12).tolist())
+    path = tmp_path / "exact.csv"
+    _coordinates_file(path, fields)
+    got = load_dataset(path).points.ravel()
+    want = np.array([float(f) for f in fields])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_load_dataset_reads_what_the_c_reader_refuses_with_the_row_parser(tmp_path):
+    path = tmp_path / "rows.csv"
+    zeros = ["0"] * 11
+    # a whitespace-only line is skipped and a 1_0 literal is ten, as int() and float() read them
+    path.write_text(f"{DATASET_HEADER}\n1,{','.join(zeros)},2.5\n \t\n0_3,1_0,{','.join(zeros)}\n")
+    data = load_dataset(path)
+    assert data.labels.tolist() == [1, 3] and data.labels.dtype == np.int64
+    assert data.points.flags.c_contiguous and data.points.shape == (2, 4, 3)
+    assert np.array_equal(data.points.reshape(2, -1), [[0.0] * 11 + [2.5], [10.0] + [0.0] * 11])
+    # a label is an integer literal, and a field padded with \x1c-\x1f does not parse
+    for row, why in ((f"1.0,{','.join(zeros)},0", "invalid literal for int() with base 10: '1.0'"),
+                     (f"\x1c1,{','.join(zeros)},0", "invalid literal for int()"),
+                     (f"1,{','.join(zeros)},0\x1f", "could not convert string to float")):
+        path.write_text(f"{DATASET_HEADER}\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: {why}")):
+            load_dataset(path)
+
+
+def test_load_dataset_names_the_first_bad_label_in_file_order(tmp_path):
+    path = tmp_path / "labels.csv"
+    zeros = ",".join(["0"] * 12)
+    for rows, first in ((["1", "9", "-1"], "9"), (["-1", "9"], "-1"), (["1", "8", "abc"], "8")):
+        path.write_text(DATASET_HEADER + "\n" + "".join(f"{r},{zeros}\n" for r in rows))
+        with pytest.raises(ValueError, match=f"^label {first} out of range in "):
+            load_dataset(path)
+
+
+def test_load_dataset_holds_no_per_value_python_objects(tmp_path):
+    # 10000 shapes as Python floats peaked at 5.8 MB; the parsed table is 1.04 MB
+    path = tmp_path / "big.csv"
+    save_dataset(make_dataset(MAIN, 10000, seed=40), path)
+    tracemalloc.start()
+    try:
+        load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
