@@ -13,7 +13,9 @@ never share RNG streams and the records reproduce bit for bit (wall times
 excepted).
 """
 
+import os
 import time
+import warnings
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
@@ -208,22 +210,59 @@ def summarize_records(records, config):
     return rows
 
 
-def run_protocol(config, progress=None):
+_worker = []  # in a pool worker: the function and shared arguments its initializer got
+
+
+def _start_worker(filters, *fn_and_shared):
+    warnings.filters[:] = filters
+    _worker[:] = fn_and_shared
+
+
+def _run_in_worker(task):
+    fn, shared = _worker
+    return fn(*shared, task)
+
+
+def _map(fn, tasks, jobs, *shared):
+    """``fn(*shared, task)`` for each task in order: in this process at one worker, else in
+    ``min(jobs, len(tasks))`` processes, forked where possible (a spawned one imports NumPy
+    again).  ``shared`` and the warning filters reach each worker once, through its initializer.
+    """
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        yield from (fn(*shared, task) for task in tasks)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if "fork" in methods else None)
+    with ProcessPoolExecutor(workers, context, _start_worker, (list(warnings.filters), fn, shared)) as pool:
+        yield from pool.map(_run_in_worker, tasks)
+
+
+def _train_task(config, test_set, task):
+    model_kind, run_id, seed = task
+    return train(config, model_kind, seed, test_set, run_id)
+
+
+def run_protocol(config, progress=None, jobs=1):
     """Train every configured model for the configured number of runs.
 
-    ``progress(record)`` is called after each run.  The trained models are
-    kept, keyed by ``(model, run_id)``.
+    The runs share ``jobs`` worker processes (1 to the CPU count), with the same
+    result for every ``jobs``.  ``progress(record)`` is called here after each
+    run, in run order.  The trained models are kept, keyed by ``(model, run_id)``.
     """
+    check_count("jobs", jobs, 1, os.cpu_count() or 1)
     test_set = make_test_set(config)
+    tasks = [(model_kind, run_id, seed) for model_kind in config.models
+             for run_id, seed in enumerate(run_seeds(config, model_kind))]
     records = []
     chains = {}
-    for model_kind in config.models:
-        for run_id, seed in enumerate(run_seeds(config, model_kind)):
-            model, record = train(config, model_kind, seed, test_set, run_id)
-            records.append(record)
-            chains[(model_kind, run_id)] = model
-            if progress is not None:
-                progress(record)
+    for model, record in _map(_train_task, tasks, jobs, config, test_set):
+        records.append(record)
+        chains[(record.model, record.run_id)] = model
+        if progress is not None:
+            progress(record)
     stats = summarize_records(records, config)
     return ProtocolResult(records, stats, chains)
 
@@ -275,28 +314,42 @@ class IsometryReport:
         return same and self.max_logit_deviation <= LOGIT_ISOMETRY_TOL
 
 
-def isometry_test(model, test_set, trials=100, seed=0):
+def isometry_test(model, test_set, trials=100, seed=0, jobs=1):
     """Compare weight-space and data-space rigid motions on a trained model.
 
     Each trial's motion, drawn in one block as successive ``sample_motion``
     calls draw them, moves the first-layer weights; all four model/data
-    combinations are scored.  Test blocks are the outer loop and trials the
-    inner: a block is checked and lifted once, and per trial its coordinates
+    combinations are scored.  The matched combination must reproduce the
+    original logits to within rounding, so its accuracy column is constant; the
+    mismatched combinations degrade.  Test blocks are the outer loop and trials
+    the inner: a block is checked and lifted once, and per trial its coordinates
     are moved feature-major and lifted, so the call holds one block's
     temporaries and O(trials) moved models (~3 KB each), nothing sized by the
-    test set.  ``models.hits`` counts with no per-row argmax.  The matched
-    combination must reproduce the original logits to within rounding, so its
-    accuracy column is constant; the mismatched combinations degrade.
+    test set.  The blocks are split into ``jobs`` (1 to the CPU count) groups of
+    consecutive blocks, one per worker process; hit counts add and a maximum is
+    exact, so the report is the same for every ``jobs``.
     """
     check_count("trials", trials, 1)
+    check_count("jobs", jobs, 1, os.cpu_count() or 1)
     rng = np.random.default_rng(seed)
     rotations, shifts, _ = tetris._draw_motions(rng, tetris.MAIN, trials, 0.0)
     motions = list(map(RigidMotion, rotations, shifts))
     moved_models = [transform_mlgp_weights(model, motion) for motion in motions]
-    pts, labels = test_set.points, test_set.labels
-    counts = np.zeros((trials, len(COMBO_NAMES)), dtype=int)  # hits, one row per trial
+    pts, labels = test_set.points, check_labels(test_set.labels, len(test_set.points))
+    blocks = eval_blocks(len(pts))
+    k = min(jobs, len(blocks))
+    groups = [blocks[len(blocks) * i // k: len(blocks) * (i + 1) // k] for i in range(k)]
+    hit_counts, devs = zip(*_map(_isometry_hits, groups, jobs,
+                                 model, motions, moved_models, pts, labels))
+    accs = sum(hit_counts).T / len(pts) * 100.0
+    return IsometryReport(trials, dict(zip(COMBO_NAMES, accs)), float(np.max(devs)))  # keeps a NaN
+
+
+def _isometry_hits(model, motions, moved_models, pts, labels, blocks):
+    """The isometry test's (trials, 4) hit counts and largest logit deviation on ``blocks``."""
+    counts = np.zeros((len(motions), len(COMBO_NAMES)), dtype=int)  # hits, one row per trial
     max_dev = 0.0
-    for cols in eval_blocks(len(pts)):
+    for cols in blocks:
         block, truth = pts[cols], labels[cols]
         lifted, n = embed_input(model, block), len(truth)
         # column p * n + j holds point p of shape j: one product moves them all, rounded as
@@ -313,8 +366,7 @@ def isometry_test(model, test_set, trials=100, seed=0):
             row[1:] += (hits(logits_tt, truth),
                         hits(forward(model, None, moved)[0], truth),
                         hits(forward(moved_model, None, lifted)[0], truth))
-    accs = counts.T / len(pts) * 100.0
-    return IsometryReport(trials, dict(zip(COMBO_NAMES, accs)), float(max_dev))
+    return counts, max_dev
 
 
 SPHERES_FORMAT = "mlgp-spheres-v1"

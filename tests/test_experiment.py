@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 import re
 import tracemalloc
 from dataclasses import replace
@@ -399,6 +400,95 @@ def test_isometry_test_validation():
     for trials in (0, 2.5, True):
         with pytest.raises(ValueError, match="trials must be an integer"):
             isometry_test(build_model("mlgp"), make_dataset("main", 16, seed=1), trials=trials)
+
+
+def test_isometry_test_applies_the_label_rule():
+    # unchecked, 2-D labels scored 800% with equality_holds, out-of-range or
+    # float labels scored 0%, and a short label vector broke NumPy broadcasting
+    model = make_small_trained_mlgp()
+    data = make_dataset("main", 64, seed=61)
+    for labels in (data.labels[:, None], data.labels + 0.5, np.full(64, 9), np.full(64, -8)):
+        with pytest.raises(ValueError, match="^labels must be a vector of integers in 0..7$"):
+            isometry_test(model, LabeledShapeSet(data.points, labels), trials=2)
+    with pytest.raises(ValueError, match="^got 10 labels for 64 shapes$"):
+        isometry_test(model, LabeledShapeSet(data.points, data.labels[:10]), trials=2)
+
+
+def test_jobs_must_be_an_integer_from_one_to_the_cpu_count():
+    data = make_dataset("main", 16, seed=1)
+    for jobs in (True, 2.0, 0, (os.cpu_count() or 1) + 1):
+        with pytest.raises(ValueError, match="^jobs must be an integer"):
+            isometry_test(make_small_trained_mlgp(), data, trials=2, jobs=jobs)
+        with pytest.raises(ValueError, match="^jobs must be an integer"):
+            run_protocol(TINY, jobs=jobs)
+
+
+def test_isometry_test_checks_its_inputs_before_any_pool_starts(monkeypatch):
+    def no_pool(*args):
+        raise AssertionError("a pool started")
+
+    monkeypatch.setattr(experiment, "_map", no_pool)
+    data = make_dataset("main", 2 * EVAL_BLOCK + 5, seed=62)
+    with pytest.raises(ValueError, match="^weight transform requires an mlgp model"):
+        isometry_test(build_model("mlhp"), data, trials=2, jobs=2)
+    with pytest.raises(ValueError, match="^labels must be"):
+        isometry_test(make_small_trained_mlgp(), LabeledShapeSet(data.points, data.labels + 8),
+                      trials=2, jobs=2)
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Pools of up to three workers, on a machine of any size."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+
+
+def test_isometry_test_is_the_same_for_every_jobs(three_cpus):
+    # one contiguous run of eval_blocks per worker: counts add exactly and a
+    # maximum is exact, so the report is bit-identical, a NaN deviation too
+    model = make_small_trained_mlgp()
+    nan_model = model.copy()
+    nan_model.theta[:] = np.nan
+    cases = [(model, n) for n in (1, 63, EVAL_BLOCK + 1, 2 * EVAL_BLOCK + 5)]
+    for m, n in cases + [(nan_model, 2 * EVAL_BLOCK + 5)]:
+        data = make_dataset("main", max(n, 8), noise_a=0.1, seed=n)
+        points = data.points[:n].copy()
+        points[-EVAL_BLOCK:] *= 100.0  # the largest deviation is in the last worker's blocks
+        test_set = LabeledShapeSet(points, data.labels[:n])
+        want = isometry_test(m, test_set, trials=5, seed=n)
+        for jobs in (2, 3):
+            got = isometry_test(m, test_set, trials=5, seed=n, jobs=jobs)
+            assert got.trials == want.trials
+            for name in COMBO_NAMES:
+                assert np.array_equal(got.accuracies[name], want.accuracies[name]), (n, jobs)
+            assert repr(got.max_logit_deviation) == repr(want.max_logit_deviation), (n, jobs)
+    assert np.isnan(got.max_logit_deviation)  # the NaN model's, merged from three workers
+
+
+def test_a_runtime_warning_in_a_worker_is_an_error(three_cpus):
+    # theta = 1e200 overflows the hidden lift; under the suite's
+    # error::RuntimeWarning policy that raises in the worker, and the error
+    # reaches the caller with the worker's traceback as its cause
+    model = build_model("mlgp", np.random.default_rng(63))
+    model.theta[:] = 1e200
+    data = make_dataset("main", 2 * EVAL_BLOCK, seed=63)
+    with pytest.raises(RuntimeWarning, match="overflow") as raised:
+        isometry_test(model, data, trials=2, jobs=2)
+    assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
+
+
+def test_run_protocol_is_the_same_for_every_jobs(three_cpus):
+    serial_progress, pooled_progress = [], []
+    serial = run_protocol(TINY, serial_progress.append)
+    pooled = run_protocol(TINY, pooled_progress.append, jobs=2)
+    assert len(pooled.records) == len(serial.records) == len(pooled_progress)
+    for a, b, c in zip(serial.records, pooled.records, pooled_progress):
+        assert a.same_outcome(b) and b is c
+    order = [(r.model, r.run_id) for r in serial_progress]
+    assert [(r.model, r.run_id) for r in pooled_progress] == order
+    assert pooled.stats == serial.stats
+    assert pooled.chains.keys() == serial.chains.keys()
+    for key, model in serial.chains.items():
+        assert np.array_equal(pooled.chains[key].theta, model.theta), key
 
 
 def test_isometry_test_draws_the_same_motions_for_fewer_trials():
