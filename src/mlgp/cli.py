@@ -12,13 +12,12 @@ Each protocol flag, and ``train``'s ``--epochs`` and ``--lr``, sets one field
 of :class:`mlgp.experiment.ProtocolConfig`, which validates it and whose value
 in the reference protocol is its default; ``--desk-scale`` shrinks the protocol
 to 5 runs and a 10000-sample test set.  ``protocol`` and ``isometry-test``
-run in ``--jobs`` worker processes, by default one per CPU: their output is the
-same for every value.  Exit status is nonzero
+run in one worker process per usable CPU; their output is the same for any
+number.  Exit status is nonzero
 when an invariant check fails or a training fit diverges.
 """
 
 import argparse
-import os
 import sys
 from dataclasses import fields
 
@@ -91,11 +90,6 @@ def build_parser():
     p = sub.add_parser("export-spheres", help="decision-sphere report")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-
-    for name in ("protocol", "isometry-test"):
-        sub.choices[name].add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                                       help="worker processes, one per CPU by default; "
-                                            "the output is the same for any value")
     return parser
 
 
@@ -142,7 +136,7 @@ def _cmd_protocol(args):
             flush=True,
         )
 
-    result = experiment.run_protocol(config, progress, args.jobs)
+    result = experiment.run_protocol(config, progress, experiment.usable_cpus())
     experiment.save_results(args.results, result.stats)
     if args.records:
         experiment.save_records(args.records, result.records)
@@ -156,7 +150,8 @@ def _cmd_protocol(args):
 def _cmd_isometry_test(args):
     _, model, _ = models.load_checkpoint(args.checkpoint)
     test_set = tetris.load_dataset(args.test_path)
-    report = experiment.isometry_test(model, test_set, args.trials, args.seed, args.jobs)
+    report = experiment.isometry_test(model, test_set, args.trials, args.seed,
+                                       experiment.usable_cpus())
     for combo, accs in report.accuracies.items():
         print(f"{combo}: {accs.mean():.2f} +- {accs.std():.2f}")
     print(f"max logit deviation: {report.max_logit_deviation:.3e}")

@@ -223,10 +223,16 @@ def _run_in_worker(task):
     return fn(*shared, task)
 
 
+def usable_cpus():
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _map(fn, tasks, jobs, *shared):
     """``fn(*shared, task)`` for each task in order: in this process at one worker, else in
-    ``min(jobs, len(tasks))`` processes, forked where possible (a spawned one imports NumPy
-    again).  ``shared`` and the warning filters reach each worker once, through its initializer.
+    ``min(jobs, len(tasks))`` processes, forked where possible (a spawned one, as on Windows,
+    imports NumPy again and inherits no warning filters).  ``shared`` and the warning filters
+    reach each worker once, through its initializer.
     """
     workers = min(jobs, len(tasks))
     if workers <= 1:
@@ -235,7 +241,7 @@ def _map(fn, tasks, jobs, *shared):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if "fork" in methods else None)
+    context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
     with ProcessPoolExecutor(workers, context, _start_worker, (list(warnings.filters), fn, shared)) as pool:
         yield from pool.map(_run_in_worker, tasks)
 
@@ -248,11 +254,11 @@ def _train_task(config, test_set, task):
 def run_protocol(config, progress=None, jobs=1):
     """Train every configured model for the configured number of runs.
 
-    The runs share ``jobs`` worker processes (1 to the CPU count), with the same
+    The runs share ``jobs`` worker processes (1 to ``usable_cpus()``), with the same
     result for every ``jobs``.  ``progress(record)`` is called here after each
     run, in run order.  The trained models are kept, keyed by ``(model, run_id)``.
     """
-    check_count("jobs", jobs, 1, os.cpu_count() or 1)
+    check_count("jobs", jobs, 1, usable_cpus())
     test_set = make_test_set(config)
     tasks = [(model_kind, run_id, seed) for model_kind in config.models
              for run_id, seed in enumerate(run_seeds(config, model_kind))]
@@ -325,12 +331,12 @@ def isometry_test(model, test_set, trials=100, seed=0, jobs=1):
     the inner: a block is checked and lifted once, and per trial its coordinates
     are moved feature-major and lifted, so the call holds one block's
     temporaries and O(trials) moved models (~3 KB each), nothing sized by the
-    test set.  The blocks are split into ``jobs`` (1 to the CPU count) groups of
+    test set.  The blocks are split into ``jobs`` (1 to ``usable_cpus()``) groups of
     consecutive blocks, one per worker process; hit counts add and a maximum is
     exact, so the report is the same for every ``jobs``.
     """
     check_count("trials", trials, 1)
-    check_count("jobs", jobs, 1, os.cpu_count() or 1)
+    check_count("jobs", jobs, 1, usable_cpus())
     rng = np.random.default_rng(seed)
     rotations, shifts, _ = tetris._draw_motions(rng, tetris.MAIN, trials, 0.0)
     motions = list(map(RigidMotion, rotations, shifts))
@@ -339,7 +345,7 @@ def isometry_test(model, test_set, trials=100, seed=0, jobs=1):
     blocks = eval_blocks(len(pts))
     k = min(jobs, len(blocks))
     groups = [blocks[len(blocks) * i // k: len(blocks) * (i + 1) // k] for i in range(k)]
-    hit_counts, devs = zip(*_map(_isometry_hits, groups, jobs,
+    hit_counts, devs = zip(*_map(_isometry_hits, groups, k,
                                  model, motions, moved_models, pts, labels))
     accs = sum(hit_counts).T / len(pts) * 100.0
     return IsometryReport(trials, dict(zip(COMBO_NAMES, accs)), float(np.max(devs)))  # keeps a NaN

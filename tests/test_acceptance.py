@@ -12,7 +12,6 @@ protocols and the isometry experiment run in up to two worker processes;
 their results are the same for any number.
 """
 
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -34,13 +33,14 @@ from mlgp.experiment import (
     isometry_test,
     make_test_set,
     run_protocol,
+    usable_cpus,
 )
 from mlgp.models import build_model
 from mlgp.nn import backward, forward, softmax_cross_entropy
 
 MASTER_SEED = 1
 DESK = ProtocolConfig(master_seed=MASTER_SEED).desk_scale()
-JOBS = min(2, os.cpu_count() or 1)
+JOBS = min(2, usable_cpus())
 
 
 def report(capsys, num, passed, detail):

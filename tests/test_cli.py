@@ -1,6 +1,5 @@
 """End-to-end tests for each command-line subcommand."""
 
-import os
 from dataclasses import fields
 
 import numpy as np
@@ -11,7 +10,7 @@ from mlgp.experiment import (RECORDS_HEADER, RESULTS_HEADER, ProtocolConfig, loa
                              load_results)
 from mlgp.models import build_model, load_checkpoint
 from mlgp.tetris import DATASET_HEADER, load_dataset
-from mlgp import _serialize, models
+from mlgp import _serialize, experiment, models
 
 
 def run(*argv):
@@ -96,9 +95,10 @@ def test_train_and_isometry_test_reject_a_dataset_with_no_shapes(tmp_path, capsy
     assert capsys.readouterr().err == f"error: no shapes in {empty}\n"
 
 
-def test_protocol(tmp_path, capsys):
+def test_protocol(tmp_path, capsys, monkeypatch):
     results = tmp_path / "results.csv"
     records = tmp_path / "records.csv"
+    monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)  # a pool, on any machine
     assert run("protocol", "--models", "mlp,mlgp", "--runs", "2",
                "--epochs", "20", "--train-size", "32", "--val-size", "32",
                "--test-size", "32", "--top-k", "1", "--seed", "9",
@@ -112,11 +112,12 @@ def test_protocol(tmp_path, capsys):
     assert RESULTS_HEADER in out
     assert results.read_text().startswith(RESULTS_HEADER)
     assert records.read_text().startswith(RECORDS_HEADER)
-    # one worker writes the same tables, apart from the wall-time column
+    # on one CPU the same tables come out, apart from the wall-time column
+    monkeypatch.setattr(experiment, "usable_cpus", lambda: 1)
     serial = [tmp_path / "serial-results.csv", tmp_path / "serial-records.csv"]
     assert run("protocol", "--models", "mlp,mlgp", "--runs", "2",
                "--epochs", "20", "--train-size", "32", "--val-size", "32",
-               "--test-size", "32", "--top-k", "1", "--seed", "9", "--jobs", "1",
+               "--test-size", "32", "--top-k", "1", "--seed", "9",
                "--results", serial[0], "--records", serial[1]) == 0
     assert serial[0].read_bytes() == results.read_bytes()
     assert [r.rsplit(",", 1)[0] for r in serial[1].read_text().splitlines()] == \
@@ -127,9 +128,8 @@ def test_protocol_flags_are_the_config_fields():
     reference = ProtocolConfig()
     args = vars(build_parser().parse_args(["protocol", "--results", "r.csv"]))
     names = {f.name for f in fields(ProtocolConfig)}
-    assert set(args) == names | {"command", "desk_scale", "results", "records", "jobs"}
+    assert set(args) == names | {"command", "desk_scale", "results", "records"}
     assert {name: args[name] for name in names} == vars(reference)
-    assert args["jobs"] == (os.cpu_count() or 1)
     args = build_parser().parse_args(["protocol", "--noise", "0.2", "--seed", "3",
                                       "--models", "mlp,mlgp", "--results", "r.csv"])
     assert (args.noise_a, args.master_seed, args.models) == (0.2, 3, ("mlp", "mlgp"))
@@ -243,21 +243,6 @@ def test_isometry_test_fails_on_a_nan_deviation(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "max logit deviation: nan" in captured.out
     assert "invariant failure" in captured.err
-
-
-def test_protocol_and_isometry_test_reject_a_bad_jobs_count(tmp_path, capsys):
-    ckpt = _trained_checkpoint(tmp_path, epochs=5)
-    test = tmp_path / "test.csv"
-    run("gen-data", "--size", "16", "--seed", "18", "--out", test)
-    capsys.readouterr()
-    assert run("isometry-test", "--checkpoint", ckpt, "--test", test, "--jobs", "0") == 1
-    cpus = os.cpu_count() or 1
-    assert capsys.readouterr().err == f"error: jobs must be an integer from 1 to {cpus}, got 0\n"
-    results = tmp_path / "results.csv"
-    assert run("protocol", "--runs", "1", "--epochs", "3", "--jobs", "0",
-               "--results", results) == 1
-    assert one_line_error(capsys)
-    assert not results.exists()
 
 
 def test_isometry_test_rejects_non_mlgp(tmp_path):

@@ -2,7 +2,7 @@
 
 import itertools
 import json
-import os
+import multiprocessing
 import re
 import tracemalloc
 from dataclasses import replace
@@ -414,9 +414,9 @@ def test_isometry_test_applies_the_label_rule():
         isometry_test(model, LabeledShapeSet(data.points, data.labels[:10]), trials=2)
 
 
-def test_jobs_must_be_an_integer_from_one_to_the_cpu_count():
+def test_jobs_must_be_an_integer_from_one_to_the_usable_cpu_count():
     data = make_dataset("main", 16, seed=1)
-    for jobs in (True, 2.0, 0, (os.cpu_count() or 1) + 1):
+    for jobs in (True, 2.0, 0, experiment.usable_cpus() + 1):
         with pytest.raises(ValueError, match="^jobs must be an integer"):
             isometry_test(make_small_trained_mlgp(), data, trials=2, jobs=jobs)
         with pytest.raises(ValueError, match="^jobs must be an integer"):
@@ -439,7 +439,7 @@ def test_isometry_test_checks_its_inputs_before_any_pool_starts(monkeypatch):
 @pytest.fixture
 def three_cpus(monkeypatch):
     """Pools of up to three workers, on a machine of any size."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(experiment, "usable_cpus", lambda: 3)
 
 
 def test_isometry_test_is_the_same_for_every_jobs(three_cpus):
@@ -471,6 +471,22 @@ def test_a_runtime_warning_in_a_worker_is_an_error(three_cpus):
     model = build_model("mlgp", np.random.default_rng(63))
     model.theta[:] = 1e200
     data = make_dataset("main", 2 * EVAL_BLOCK, seed=63)
+    with pytest.raises(RuntimeWarning, match="overflow") as raised:
+        isometry_test(model, data, trials=2, jobs=2)
+    assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
+
+
+def test_a_spawned_pool_gets_the_callers_warning_filters(three_cpus, monkeypatch):
+    # where the platform cannot fork (Windows), workers are spawned: they import
+    # mlgp afresh and inherit no warning filters, so the initializer installs them
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    model = make_small_trained_mlgp()
+    data = make_dataset("main", 2 * EVAL_BLOCK, noise_a=0.1, seed=64)
+    want, got = (isometry_test(model, data, trials=3, seed=64, jobs=jobs) for jobs in (1, 2))
+    for name in COMBO_NAMES:
+        assert np.array_equal(got.accuracies[name], want.accuracies[name])
+    assert got.max_logit_deviation == want.max_logit_deviation
+    model.theta[:] = 1e200
     with pytest.raises(RuntimeWarning, match="overflow") as raised:
         isometry_test(model, data, trials=2, jobs=2)
     assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
