@@ -11,10 +11,10 @@ Subcommands:
 Each protocol flag, and ``train``'s ``--epochs`` and ``--lr``, sets one field
 of :class:`mlgp.experiment.ProtocolConfig`, which validates it and whose value
 in the reference protocol is its default; ``--desk-scale`` shrinks the protocol
-to 5 runs and a 10000-sample test set.  ``protocol`` and ``isometry-test``
-run in one worker process per usable CPU; their output is the same for any
-number.  Exit status is nonzero
-when an invariant check fails or a training fit diverges.
+to 5 runs and a 10000-sample test set.  ``protocol``, and ``isometry-test``
+from ``experiment.POOL_MIN_SHAPE_TRIALS`` shapes x trials on, fork one worker
+process per usable CPU; their output is the same for any number.  Exit status
+is nonzero when an invariant check fails or a training fit diverges.
 """
 
 import argparse
@@ -136,7 +136,7 @@ def _cmd_protocol(args):
             flush=True,
         )
 
-    result = experiment.run_protocol(config, progress, experiment.usable_cpus())
+    result = experiment.run_protocol(config, progress)
     experiment.save_results(args.results, result.stats)
     if args.records:
         experiment.save_records(args.records, result.records)
@@ -150,8 +150,7 @@ def _cmd_protocol(args):
 def _cmd_isometry_test(args):
     _, model, _ = models.load_checkpoint(args.checkpoint)
     test_set = tetris.load_dataset(args.test_path)
-    report = experiment.isometry_test(model, test_set, args.trials, args.seed,
-                                       experiment.usable_cpus())
+    report = experiment.isometry_test(model, test_set, args.trials, args.seed)
     for combo, accs in report.accuracies.items():
         print(f"{combo}: {accs.mean():.2f} +- {accs.std():.2f}")
     print(f"max logit deviation: {report.max_logit_deviation:.3e}")

@@ -15,7 +15,6 @@ excepted).
 
 import os
 import time
-import warnings
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
@@ -37,6 +36,9 @@ STAT_ALL = "all_runs"
 STAT_TOP = "top_k"
 
 LOGIT_ISOMETRY_TOL = 1e-9
+# an isometry test of fewer shapes x trials runs in the caller: below it, two forked
+# workers cost more than they saved (2,000 x 25 on 2 vCPUs: 12.6 ms serial, 23.5 ms pooled)
+POOL_MIN_SHAPE_TRIALS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ class ProtocolConfig:
             if kind not in MODEL_KINDS:
                 raise ValueError(f"unknown model kind {kind!r}")
         n = tetris.NUM_CLASSES  # the smallest dataset make_dataset draws
-        for name, least in (("runs", 1), ("epochs", 0), ("top_k", 1),
+        for name, least in (("runs", 1), ("epochs", 0), ("top_k", 1), ("master_seed", 0),
                             ("train_size", n), ("val_size", n), ("test_size", n)):
             check_count(name, getattr(self, name), least)
         check_real("learning rate", self.lr, 0.0)
@@ -213,8 +215,7 @@ def summarize_records(records, config):
 _worker = []  # in a pool worker: the function and shared arguments its initializer got
 
 
-def _start_worker(filters, *fn_and_shared):
-    warnings.filters[:] = filters
+def _start_worker(*fn_and_shared):
     _worker[:] = fn_and_shared
 
 
@@ -228,22 +229,23 @@ def usable_cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _map(fn, tasks, jobs, *shared):
-    """``fn(*shared, task)`` for each task in order: in this process at one worker, else in
-    ``min(jobs, len(tasks))`` processes, forked where possible (a spawned one, as on Windows,
-    imports NumPy again and inherits no warning filters).  ``shared`` and the warning filters
-    reach each worker once, through its initializer.
+def _map(fn, tasks, *shared):
+    """``fn(*shared, task)`` for each task in order, in ``min(usable_cpus(), len(tasks))``
+    forked processes, which inherit the caller's warning filters; ``shared`` reaches each
+    worker once, through its initializer.  At one worker, or where the platform cannot fork,
+    the tasks run in this process.  Nothing is spawned: a spawned worker imports the caller's
+    ``__main__`` again, which breaks a script without an ``if __name__ == "__main__"`` guard.
     """
-    workers = min(jobs, len(tasks))
-    if workers <= 1:
-        yield from (fn(*shared, task) for task in tasks)
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    with ProcessPoolExecutor(workers, context, _start_worker, (list(warnings.filters), fn, shared)) as pool:
-        yield from pool.map(_run_in_worker, tasks)
+    workers = min(usable_cpus(), len(tasks)) if len(tasks) > 1 else 1
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, fork, _start_worker, (fn, shared)) as pool:
+                yield from pool.map(_run_in_worker, tasks)
+            return
+    yield from (fn(*shared, task) for task in tasks)
 
 
 def _train_task(config, test_set, task):
@@ -251,20 +253,20 @@ def _train_task(config, test_set, task):
     return train(config, model_kind, seed, test_set, run_id)
 
 
-def run_protocol(config, progress=None, jobs=1):
+def run_protocol(config, progress=None):
     """Train every configured model for the configured number of runs.
 
-    The runs share ``jobs`` worker processes (1 to ``usable_cpus()``), with the same
-    result for every ``jobs``.  ``progress(record)`` is called here after each
-    run, in run order.  The trained models are kept, keyed by ``(model, run_id)``.
+    Each run is a whole fit, so the runs always go to ``_map``'s pool: one forked
+    worker per usable CPU, up to one per run, with the same result for any number.
+    ``progress(record)`` is called here after each run, in run order.  The trained
+    models are kept, keyed by ``(model, run_id)``.
     """
-    check_count("jobs", jobs, 1, usable_cpus())
     test_set = make_test_set(config)
     tasks = [(model_kind, run_id, seed) for model_kind in config.models
              for run_id, seed in enumerate(run_seeds(config, model_kind))]
     records = []
     chains = {}
-    for model, record in _map(_train_task, tasks, jobs, config, test_set):
+    for model, record in _map(_train_task, tasks, config, test_set):
         records.append(record)
         chains[(record.model, record.run_id)] = model
         if progress is not None:
@@ -320,7 +322,7 @@ class IsometryReport:
         return same and self.max_logit_deviation <= LOGIT_ISOMETRY_TOL
 
 
-def isometry_test(model, test_set, trials=100, seed=0, jobs=1):
+def isometry_test(model, test_set, trials=100, seed=0):
     """Compare weight-space and data-space rigid motions on a trained model.
 
     Each trial's motion, drawn in one block as successive ``sample_motion``
@@ -331,22 +333,21 @@ def isometry_test(model, test_set, trials=100, seed=0, jobs=1):
     the inner: a block is checked and lifted once, and per trial its coordinates
     are moved feature-major and lifted, so the call holds one block's
     temporaries and O(trials) moved models (~3 KB each), nothing sized by the
-    test set.  The blocks are split into ``jobs`` (1 to ``usable_cpus()``) groups of
-    consecutive blocks, one per worker process; hit counts add and a maximum is
-    exact, so the report is the same for every ``jobs``.
+    test set.  From ``POOL_MIN_SHAPE_TRIALS`` shapes x trials on, the blocks are split
+    into one group of consecutive blocks per usable CPU, each scored in a forked worker
+    (see ``_map``); below it they are scored here.  Hit counts add and a maximum is
+    exact, so the report is the same for any number of workers.
     """
     check_count("trials", trials, 1)
-    check_count("jobs", jobs, 1, usable_cpus())
     rng = np.random.default_rng(seed)
     rotations, shifts, _ = tetris._draw_motions(rng, tetris.MAIN, trials, 0.0)
     motions = list(map(RigidMotion, rotations, shifts))
     moved_models = [transform_mlgp_weights(model, motion) for motion in motions]
     pts, labels = test_set.points, check_labels(test_set.labels, len(test_set.points))
     blocks = eval_blocks(len(pts))
-    k = min(jobs, len(blocks))
+    k = min(usable_cpus(), len(blocks)) if len(pts) * trials >= POOL_MIN_SHAPE_TRIALS else 1
     groups = [blocks[len(blocks) * i // k: len(blocks) * (i + 1) // k] for i in range(k)]
-    hit_counts, devs = zip(*_map(_isometry_hits, groups, k,
-                                 model, motions, moved_models, pts, labels))
+    hit_counts, devs = zip(*_map(_isometry_hits, groups, model, motions, moved_models, pts, labels))
     accs = sum(hit_counts).T / len(pts) * 100.0
     return IsometryReport(trials, dict(zip(COMBO_NAMES, accs)), float(np.max(devs)))  # keeps a NaN
 

@@ -196,12 +196,10 @@ EPS = 1e-8
 BETA1, BETA2 = 0.9, 0.999
 
 
-def check_count(name, value, least, most=None):
-    """Raise ValueError unless ``value`` is an integer, not a bool, >= ``least`` and <= ``most``."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least
-            or most is not None and value > most):
-        bounds = f">= {least}" if most is None else f"from {least} to {most}"
-        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+def check_count(name, value, least):
+    """Raise ValueError unless ``value`` is an integer, not a bool, >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def check_real(name, value, low=-np.inf):

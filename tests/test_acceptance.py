@@ -33,14 +33,12 @@ from mlgp.experiment import (
     isometry_test,
     make_test_set,
     run_protocol,
-    usable_cpus,
 )
 from mlgp.models import build_model
 from mlgp.nn import backward, forward, softmax_cross_entropy
 
 MASTER_SEED = 1
 DESK = ProtocolConfig(master_seed=MASTER_SEED).desk_scale()
-JOBS = min(2, usable_cpus())
 
 
 def report(capsys, num, passed, detail):
@@ -170,17 +168,17 @@ def test_criterion_07_parameter_counts(capsys):
 
 @pytest.fixture(scope="module")
 def main_protocol():
-    return run_protocol(DESK, jobs=JOBS)
+    return run_protocol(DESK)
 
 
 @pytest.fixture(scope="module")
 def theta_protocol():
-    return run_protocol(replace(DESK, experiment="theta", models=("mlp", "mlgp")), jobs=JOBS)
+    return run_protocol(replace(DESK, experiment="theta", models=("mlp", "mlgp")))
 
 
 @pytest.fixture(scope="module")
 def noise_protocol():
-    return run_protocol(replace(DESK, noise_a=0.2, models=("mlhp", "mlgp")), jobs=JOBS)
+    return run_protocol(replace(DESK, noise_a=0.2, models=("mlhp", "mlgp")))
 
 
 def all_runs_mean(result, model):
@@ -225,7 +223,7 @@ def test_criterion_10_theta_split_generalization(capsys, main_protocol, theta_pr
 def test_criterion_11_isometry_experiment(capsys, main_protocol):
     chain = main_protocol.best_chain("mlgp")
     test_set = make_test_set(DESK)
-    rep = isometry_test(chain, test_set, trials=100, seed=MASTER_SEED, jobs=JOBS)
+    rep = isometry_test(chain, test_set, trials=100, seed=MASTER_SEED)
     base = rep.accuracies[COMBO_NAMES[0]]
     match = rep.accuracies[COMBO_NAMES[1]]
     # std exactly 0.00: every trial's accuracy is the same number, equal to

@@ -71,10 +71,12 @@ def test_config_validation():
                       ("top_k", 0), ("top_k", 2.5), ("train_size", 4), ("train_size", 64.0),
                       ("val_size", 7), ("val_size", 2.5), ("test_size", 4), ("test_size", "64"),
                       ("runs", True), ("epochs", True), ("top_k", True), ("train_size", True),
-                      ("val_size", True), ("test_size", True)):
+                      ("val_size", True), ("test_size", True), ("master_seed", True),
+                      ("master_seed", 1.5), ("master_seed", "3"), ("master_seed", -1)):
         with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
             ProtocolConfig(**{name: bad})
-    ProtocolConfig(runs=np.int64(1), epochs=0, top_k=1, train_size=8, val_size=8, test_size=8)
+    ProtocolConfig(runs=np.int64(1), epochs=0, top_k=1, train_size=8, val_size=8, test_size=8,
+                   master_seed=np.int64(0))
     # Adam settings fail at construction, before any data is sampled
     for bad in (-1.0, np.inf, np.nan, "0.1", True, None):
         with pytest.raises(ValueError, match="learning rate"):
@@ -414,37 +416,70 @@ def test_isometry_test_applies_the_label_rule():
         isometry_test(model, LabeledShapeSet(data.points, data.labels[:10]), trials=2)
 
 
-def test_jobs_must_be_an_integer_from_one_to_the_usable_cpu_count():
-    data = make_dataset("main", 16, seed=1)
-    for jobs in (True, 2.0, 0, experiment.usable_cpus() + 1):
-        with pytest.raises(ValueError, match="^jobs must be an integer"):
-            isometry_test(make_small_trained_mlgp(), data, trials=2, jobs=jobs)
-        with pytest.raises(ValueError, match="^jobs must be an integer"):
-            run_protocol(TINY, jobs=jobs)
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Pools of up to three workers, on a machine of any size, for any isometry test."""
+    monkeypatch.setattr(experiment, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(experiment, "POOL_MIN_SHAPE_TRIALS", 1)
 
 
-def test_isometry_test_checks_its_inputs_before_any_pool_starts(monkeypatch):
+def test_isometry_test_checks_its_inputs_before_any_pool_starts(three_cpus, monkeypatch):
     def no_pool(*args):
         raise AssertionError("a pool started")
 
     monkeypatch.setattr(experiment, "_map", no_pool)
     data = make_dataset("main", 2 * EVAL_BLOCK + 5, seed=62)
     with pytest.raises(ValueError, match="^weight transform requires an mlgp model"):
-        isometry_test(build_model("mlhp"), data, trials=2, jobs=2)
+        isometry_test(build_model("mlhp"), data, trials=2)
     with pytest.raises(ValueError, match="^labels must be"):
         isometry_test(make_small_trained_mlgp(), LabeledShapeSet(data.points, data.labels + 8),
-                      trials=2, jobs=2)
+                      trials=2)
 
 
-@pytest.fixture
-def three_cpus(monkeypatch):
-    """Pools of up to three workers, on a machine of any size."""
-    monkeypatch.setattr(experiment, "usable_cpus", lambda: 3)
+class RecordedPool:
+    """A stand-in for ProcessPoolExecutor that runs in this process and records its size."""
+
+    sizes = []
+
+    def __init__(self, workers, context, initializer, initargs):
+        self.sizes.append(workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
 
 
-def test_isometry_test_is_the_same_for_every_jobs(three_cpus):
+@pytest.mark.parametrize("cpus, fork, short, workers", [
+    (2, True, 0, [2]),   # at the constant, two usable CPUs: two forked workers
+    (2, True, 1, []),    # one shape-trial under the constant: no pool
+    (2, False, 0, []),   # no fork: no pool, and nothing spawned
+    (1, True, 0, []),    # one usable CPU: no pool
+])
+def test_isometry_test_pools_from_the_constant_where_it_can_fork(monkeypatch, cpus, fork, short,
+                                                                  workers):
+    data = make_dataset("main", 2 * EVAL_BLOCK, seed=65)
+    monkeypatch.setattr(experiment, "POOL_MIN_SHAPE_TRIALS", len(data) * 3 + short)
+    monkeypatch.setattr(experiment, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(experiment, "_worker", [])
+    monkeypatch.setattr(RecordedPool, "sizes", [])
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordedPool)
+    if not fork:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    report = isometry_test(make_small_trained_mlgp(), data, trials=3, seed=65)
+    assert RecordedPool.sizes == workers
+    assert report.equality_holds
+
+
+def test_isometry_test_is_the_same_for_every_jobs(monkeypatch):
     # one contiguous run of eval_blocks per worker: counts add exactly and a
     # maximum is exact, so the report is bit-identical, a NaN deviation too
+    monkeypatch.setattr(experiment, "POOL_MIN_SHAPE_TRIALS", 1)
     model = make_small_trained_mlgp()
     nan_model = model.copy()
     nan_model.theta[:] = np.nan
@@ -454,13 +489,15 @@ def test_isometry_test_is_the_same_for_every_jobs(three_cpus):
         points = data.points[:n].copy()
         points[-EVAL_BLOCK:] *= 100.0  # the largest deviation is in the last worker's blocks
         test_set = LabeledShapeSet(points, data.labels[:n])
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 1)
         want = isometry_test(m, test_set, trials=5, seed=n)
-        for jobs in (2, 3):
-            got = isometry_test(m, test_set, trials=5, seed=n, jobs=jobs)
+        for cpus in (2, 3):
+            monkeypatch.setattr(experiment, "usable_cpus", lambda: cpus)
+            got = isometry_test(m, test_set, trials=5, seed=n)
             assert got.trials == want.trials
             for name in COMBO_NAMES:
-                assert np.array_equal(got.accuracies[name], want.accuracies[name]), (n, jobs)
-            assert repr(got.max_logit_deviation) == repr(want.max_logit_deviation), (n, jobs)
+                assert np.array_equal(got.accuracies[name], want.accuracies[name]), (n, cpus)
+            assert repr(got.max_logit_deviation) == repr(want.max_logit_deviation), (n, cpus)
     assert np.isnan(got.max_logit_deviation)  # the NaN model's, merged from three workers
 
 
@@ -472,30 +509,16 @@ def test_a_runtime_warning_in_a_worker_is_an_error(three_cpus):
     model.theta[:] = 1e200
     data = make_dataset("main", 2 * EVAL_BLOCK, seed=63)
     with pytest.raises(RuntimeWarning, match="overflow") as raised:
-        isometry_test(model, data, trials=2, jobs=2)
+        isometry_test(model, data, trials=2)
     assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
 
 
-def test_a_spawned_pool_gets_the_callers_warning_filters(three_cpus, monkeypatch):
-    # where the platform cannot fork (Windows), workers are spawned: they import
-    # mlgp afresh and inherit no warning filters, so the initializer installs them
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    model = make_small_trained_mlgp()
-    data = make_dataset("main", 2 * EVAL_BLOCK, noise_a=0.1, seed=64)
-    want, got = (isometry_test(model, data, trials=3, seed=64, jobs=jobs) for jobs in (1, 2))
-    for name in COMBO_NAMES:
-        assert np.array_equal(got.accuracies[name], want.accuracies[name])
-    assert got.max_logit_deviation == want.max_logit_deviation
-    model.theta[:] = 1e200
-    with pytest.raises(RuntimeWarning, match="overflow") as raised:
-        isometry_test(model, data, trials=2, jobs=2)
-    assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
-
-
-def test_run_protocol_is_the_same_for_every_jobs(three_cpus):
+def test_run_protocol_is_the_same_for_every_jobs(monkeypatch):
     serial_progress, pooled_progress = [], []
+    monkeypatch.setattr(experiment, "usable_cpus", lambda: 1)
     serial = run_protocol(TINY, serial_progress.append)
-    pooled = run_protocol(TINY, pooled_progress.append, jobs=2)
+    monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)  # two workers for the six runs
+    pooled = run_protocol(TINY, pooled_progress.append)
     assert len(pooled.records) == len(serial.records) == len(pooled_progress)
     for a, b, c in zip(serial.records, pooled.records, pooled_progress):
         assert a.same_outcome(b) and b is c
