@@ -24,6 +24,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import experiment, models, tetris
+from .nn import check_count
 
 
 _REFERENCE = experiment.ProtocolConfig()
@@ -101,6 +102,7 @@ def _cmd_gen_data(args):
 
 
 def _cmd_train(args):
+    check_count("seed", args.seed, 0)
     # every dataset loads before the fit, so a bad --val or --test costs no training
     paths = {"train": args.train_path, "val": args.val_path, "test": args.test_path}
     sets = {name: tetris.load_dataset(path) for name, path in paths.items() if path}

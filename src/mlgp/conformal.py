@@ -11,6 +11,8 @@ negative outside.
 3D point of a flattened shape for ``group=3``, a whole n-vector for
 ``group=n``, nothing for ``group=0``.  :func:`lift_grad` is its adjoint.
 Both act on the first axis, so a batch is laid out as (features, batch).
+:func:`lift_norms` recomputes only the norm rows of a lifted buffer, for a
+caller that writes the blocks' coordinates into it and reuses it.
 
 Learned sphere vectors are generally scaled by an arbitrary nonzero factor;
 dividing by the last component (``point_normalize``) recovers the canonical
@@ -64,19 +66,32 @@ def lift(x, group):
     out = np.empty((len(g), group + 2) + rest)
     out[:, :group] = g
     out[:, group] = -1.0
-    g = out[:, :group]  # contiguous rows even when x is a transposed view
-    norm_sq = np.add.reduce(g * g, axis=1, out=out[:, group + 1])
+    return lift_norms(out.reshape((-1,) + rest), group)
+
+
+def lift_norms(lifted, group, squares=None):
+    """Write each block's -||g||^2/2 row of a C-contiguous ``lifted`` from its g rows.
+
+    Returns ``lifted``.  ``squares``, shaped like the (blocks, group, ...) g rows,
+    takes their squares when given, so a caller that lifts every step reuses it.
+    """
+    blocks = lifted.reshape((-1, group + 2) + lifted.shape[1:])
+    g = blocks[:, :group]  # contiguous rows even when x is a transposed view
+    norm_sq = np.add.reduce(np.multiply(g, g, out=squares), axis=1, out=blocks[:, group + 1])
     norm_sq *= -0.5
-    return out.reshape((-1,) + rest)
+    return lifted
 
 
-def lift_grad(d_lifted, lifted, group):
-    """Pull a gradient on ``lifted = lift(x, group)`` back to a gradient on ``x``."""
+def lift_grad(d_lifted, lifted, group, out=None):
+    """Pull a gradient on ``lifted = lift(x, group)`` back to a gradient on ``x``.
+
+    ``out``, shaped (blocks, group, ...), receives it when given.
+    """
     if group == 0:
         return d_lifted
     d = d_lifted.reshape((-1, group + 2) + lifted.shape[1:])
     g = lifted.reshape(d.shape)[:, :group]  # each lifted block starts with its x
-    prod = d[:, group + 1 :] * g
+    prod = np.multiply(d[:, group + 1 :], g, out=out)
     return np.subtract(d[:, :group], prod, out=prod).reshape((-1,) + lifted.shape[1:])
 
 

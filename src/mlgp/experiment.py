@@ -22,8 +22,8 @@ import numpy as np
 from . import _serialize, tetris
 from .conformal import DegenerateSphereError, RigidMotion, extract_center_radius_sq, lift, point_normalize
 from .models import MLGP, MODEL_KINDS, accuracy, build_model, hits, transform_mlgp_weights
-from .nn import (Adam, backward, check_count, check_labels, check_real, embed_input, eval_blocks,
-                 forward, one_hot, softmax_cross_entropy)
+from .nn import (Adam, Workspace, backward, check_count, check_labels, check_real, embed_input,
+                 eval_blocks, forward, one_hot, softmax_cross_entropy)
 from .tetris import make_dataset
 
 MAIN_EXPERIMENT = "main"
@@ -156,17 +156,19 @@ def fit(model, points, labels, epochs, lr=ProtocolConfig.lr):
     The learning rate defaults to the reference protocol's, and Adam's decay
     rates are ``nn.BETA1`` and ``nn.BETA2``.  The first layer's input
     lift has no parameters and the labels do not change, so the lift and the
-    one-hot target are computed once and reused every epoch.
+    one-hot target are computed once and reused every epoch, and every epoch
+    runs in one ``nn.Workspace`` made for the model and the batch.
     """
     check_count("epochs", epochs, 0)
-    target = one_hot(check_labels(labels, len(points)))
     first = embed_input(model, points)
+    target = one_hot(check_labels(labels, first.shape[1]))
     opt = Adam(model.theta, lr)
+    ws = Workspace(model, first.shape[1])
     losses = np.empty(epochs)
     for epoch in range(epochs):
-        logits, trace = forward(model, points, first_embedded=first)
-        loss, dlogits = softmax_cross_entropy(logits, target)
-        opt.step(backward(model, trace, dlogits))
+        logits, trace = forward(model, points, first, ws)
+        loss, dlogits = softmax_cross_entropy(logits, target, ws)
+        opt.step(backward(model, trace, dlogits, ws))
         losses[epoch] = loss
     return losses
 
@@ -339,6 +341,7 @@ def isometry_test(model, test_set, trials=100, seed=0):
     exact, so the report is the same for any number of workers.
     """
     check_count("trials", trials, 1)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     rotations, shifts, _ = tetris._draw_motions(rng, tetris.MAIN, trials, 0.0)
     motions = list(map(RigidMotion, rotations, shifts))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _serialize
 from .conformal import RigidMotion, motor_matrix_sphere
-from .nn import Layer, check_count, check_labels, eval_blocks, forward, softmax
+from .nn import Layer, check_count, check_labels, check_points, eval_blocks, forward, softmax
 
 MLP = "mlp"
 MLHP = "mlhp"
@@ -113,7 +113,7 @@ def predict(model, points):
     ``points`` is a (batch, 4, 3) batch, run block by block.  The label is the
     argmax of the logits; ties among the logits go to the lowest label.
     """
-    points = np.asarray(points, dtype=float)
+    points = check_points(points)
     logits = np.concatenate([forward(model, points[cols])[0] for cols in eval_blocks(len(points))])
     return np.argmax(logits, axis=1), softmax(logits)
 
@@ -132,7 +132,7 @@ def hits(logits, labels):
 
 def accuracy(model, points, labels):
     """Fraction of shapes given their true label by :func:`predict`, counted block by block."""
-    points = np.asarray(points, dtype=float)
+    points = check_points(points)
     labels = check_labels(labels, len(points))
     total = sum(hits(forward(model, points[cols])[0], labels[cols])
                 for cols in eval_blocks(len(points)))

@@ -20,13 +20,25 @@ shapes (:func:`eval_blocks`) by ``models.accuracy``, ``models.predict`` and the
 isometry test.  A fit builds the loss's :func:`one_hot` target once; the loss
 takes one ``exp``, floored at ``EXP_FLOOR``, and :class:`Adam` steps in the
 efficient form of Kingma & Ba's section 2 at their ``BETA1`` and ``BETA2``.
+
+A fit runs every epoch in one :class:`Workspace`, made for its model and batch
+size, so an epoch allocates no batch-sized array.  Across epochs it keeps each
+hidden layer's input (a lift buffer whose -1 row is written once and whose top
+rows take the product of the layer before, or a dense product that takes its
+bias and ReLU in place), the logits, the loss's shifted logits, their exp, its
+column buffers and its target over the batch, and the theta-shaped gradient
+and upstream gradients of :func:`backward`; :class:`Adam` keeps its step's
+temporaries.  The logits, trace and gradient returned with a workspace are
+views of its arrays, which the next call overwrites.  Without one, a call
+allocates fresh arrays and runs the same code, with the same results.
 """
 
 import numbers
+from itertools import accumulate
 
 import numpy as np
 
-from .conformal import lift, lift_grad
+from .conformal import lift, lift_grad, lift_norms
 
 
 class Layer:
@@ -53,15 +65,21 @@ class Layer:
 INPUT_DIM = 12
 
 
+def check_points(points):
+    """``points`` as a float array of shapes: ValueError if it holds none (empty or 0-d)."""
+    pts = np.asarray(points, dtype=float)
+    if not pts.ndim or not len(pts):
+        raise ValueError("no shapes to score")
+    return pts
+
+
 def embed_input(model, points):
     """First-layer lift of a (batch, 4, 3) input, feature-major (in_dim, batch).
 
     Any (batch, ...) array of ``INPUT_DIM`` finite values per shape is accepted.
     The lift has no parameters, so a fit passes it to :func:`forward` once made.
     """
-    pts = np.asarray(points, dtype=float)
-    if not len(pts):
-        raise ValueError("no shapes to score")
+    pts = check_points(points)
     x = pts.reshape(len(pts), -1).T
     if len(x) != INPUT_DIM:
         raise ValueError(f"layer expects {INPUT_DIM} inputs, got {len(x)}")
@@ -87,48 +105,115 @@ def eval_blocks(n):
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def forward(model, points, first_embedded=None):
+class Workspace:
+    """The arrays of one architecture and batch size that a fit's epochs reuse.
+
+    Each phase makes its arrays on first use (see the module docstring), so a
+    call without a workspace, which makes its own, allocates what it uses.
+    """
+
+    def __init__(self, model, batch):
+        self._layers = () if model is None else model.layers
+        self._batch = batch
+        self._forward = self._loss = self._backward = self._labels = None
+
+    def forward_arrays(self):
+        """Per layer: the array its product goes to, the next layer's lift buffer
+        that holds it (or None) with that lift's squares, and whether a ReLU follows."""
+        if self._forward is None:
+            self._forward = [self._product(layer, nxt, self._batch)
+                             for layer, nxt in zip(self._layers, [*self._layers[1:], None])]
+        return self._forward
+
+    @staticmethod
+    def _product(layer, nxt, n):
+        if nxt is None or not nxt.group:
+            return np.empty((layer.out_dim, n)), None, None, nxt is not None
+        if nxt.in_dim != layer.out_dim + 2 or nxt.group != layer.out_dim:
+            raise ValueError("a hidden lift must lift the whole product before it as one block")
+        lifted = np.empty((nxt.in_dim, n))
+        lifted[nxt.group] = -1.0
+        return lifted[: layer.out_dim], lifted, np.empty((1, nxt.group, n)), False
+
+    def loss_arrays(self, labels, target):
+        """Column maxima, sums and log-sums, the (8, batch) shifted logits and exp,
+        and ``target * (1 / batch)``, made again only for other ``labels``."""
+        n = self._batch
+        if self._loss is None:
+            self._loss = [*np.empty((3, n)), np.empty((8, n)), np.empty((8, n)), None]
+        if self._labels is not labels:
+            self._labels, self._loss[-1] = labels, target * (1.0 / n)
+        return self._loss
+
+    def backward_arrays(self):
+        """The gradient, per layer a Layer viewing its slot, and per hidden layer
+        its upstream gradient and the lift's pulled-back gradient or ReLU mask."""
+        if self._backward is None:
+            n, layers = self._batch, self._layers
+            ends = (0, *accumulate(layer.params.size for layer in layers))
+            grad = np.empty(ends[-1])
+            slots = [Layer(layer.group, layer.in_dim, layer.out_dim, grad[a:b])
+                     for layer, a, b in zip(layers, ends, ends[1:])]
+            upstream = [None] + [np.empty((layer.in_dim, n)) for layer in layers[1:]]
+            pulled = [None] + [np.empty((1, layer.group, n)) if layer.group
+                               else np.empty((layer.in_dim, n), bool) for layer in layers[1:]]
+            self._backward = grad, slots, upstream, pulled
+        return self._backward
+
+
+def forward(model, points, first_embedded=None, workspace=None):
     """Run a model on a batch of shapes, (batch, 4, 3), in one pass.
 
     Returns ``(logits, trace)``: (batch, 8) logits and, per layer, the (in_dim,
     batch) input its weights multiplied, of which the first may be given as
     ``first_embedded``.  Between layers, the next layer's lift or a dense
-    layer's ReLU is the nonlinearity.  The pass holds batch-sized temporaries,
-    so large sets go through ``accuracy``, ``predict`` or :func:`eval_blocks`.
-    One shape is a batch of one; a bare (4, 3) shape raises ValueError.
+    layer's ReLU is the nonlinearity: each product is written into the top
+    rows of the next layer's lift, or takes its bias and ReLU in place.  The
+    pass holds batch-sized temporaries, so large sets go through ``accuracy``,
+    ``predict`` or :func:`eval_blocks`.  One shape is a batch of one; a bare
+    (4, 3) shape raises ValueError.  With a ``workspace``, the logits and the
+    trace's hidden inputs are its arrays, which the next call overwrites.
     """
     h = embed_input(model, points) if first_embedded is None else first_embedded
+    ws = Workspace(model, h.shape[1]) if workspace is None else workspace
     trace = []
-    for i, layer in enumerate(model.layers):
-        if i:
-            h = lift(h, layer.group) if layer.group else np.maximum(h, 0.0)
+    for layer, (out, lifted, squares, relu) in zip(model.layers, ws.forward_arrays()):
         trace.append(h)
-        h = layer.w @ h
+        h = np.matmul(layer.w, h, out=out)
         if layer.b is not None:
             h += layer.b[:, None]
+        if lifted is not None:
+            h = lift_norms(lifted, squares.shape[1], squares)
+        elif relu:
+            np.maximum(h, 0.0, out=h)
     return h.T, trace
 
 
-def backward(model, trace, d_logits):
+def backward(model, trace, d_logits, workspace=None):
     """Exact gradient of the loss with respect to ``model.theta``.
 
     ``d_logits`` is (batch, 8), like the logits.  Returns one vector
     in ``theta``'s layout: layer by layer, the row-major weight gradient,
-    then a dense layer's bias gradient.  The lift of the raw model input
-    carries no parameters, so no gradient is propagated past the first layer.
+    then a dense layer's bias gradient, each written into its slot.  The lift
+    of the raw model input carries no parameters, so no gradient is propagated
+    past the first layer.  With a ``workspace``, the gradient is its array,
+    which the next call overwrites.
     """
     d = _class_major(d_logits)
-    parts = []
+    ws = Workspace(model, d.shape[1]) if workspace is None else workspace
+    grad, slots, upstream, pulled = ws.backward_arrays()
     for i in range(len(model.layers) - 1, -1, -1):
-        layer, x = model.layers[i], trace[i]
+        layer, x, slot = model.layers[i], trace[i], slots[i]
         if layer.b is not None:
-            parts.append(d.sum(axis=1))
-        parts.append((d @ x.T).ravel())
+            np.add.reduce(d, axis=1, out=slot.b)
+        np.matmul(d, x.T, out=slot.w)
         if i > 0:
-            d = layer.w.T @ d
-            # max(p, 0) > 0 exactly when p > 0: the ReLU's mask, 0 at 0
-            d = lift_grad(d, x, layer.group) if layer.group else d * (x > 0.0)
-    return np.concatenate(parts[::-1])
+            d = np.matmul(layer.w.T, d, out=upstream[i])
+            if layer.group:
+                d = lift_grad(d, x, layer.group, pulled[i])
+            else:  # max(p, 0) > 0 exactly when p > 0: the ReLU's mask, 0 at 0
+                d *= np.greater(x, 0.0, out=pulled[i])
+    return grad
 
 
 def _class_major(values):
@@ -142,11 +227,11 @@ def _class_major(values):
 EXP_FLOOR = -600.0
 
 
-def _shifted_exp(z):
+def _shifted_exp(z, col_max=None, shifted=None, e=None):
     """(8, batch) ``z`` less its column maxima, and its exp floored at ``EXP_FLOOR``."""
-    shifted = z - z.max(axis=0)
+    shifted = np.subtract(z, np.maximum.reduce(z, axis=0, out=col_max), out=shifted)
     # np.maximum, unlike np.fmax, passes a NaN on: a diverged run stays NaN
-    e = np.maximum(shifted, EXP_FLOOR)
+    e = np.maximum(shifted, EXP_FLOOR, out=e)
     return shifted, np.exp(e, out=e)
 
 
@@ -169,23 +254,29 @@ def one_hot(labels):
     return target.T
 
 
-def softmax_cross_entropy(logits, labels):
+def softmax_cross_entropy(logits, labels, workspace=None):
     """Mean cross-entropy of (batch, 8) logits and its gradient.
 
     ``labels`` is a (batch,) vector of integers in 0..7 or its :func:`one_hot`.
     Returns the mean loss and its (batch, 8) gradient with respect to the
     logits, ``(softmax - onehot) / batch``.  One ``exp``, floored, serves both;
     the loss reads the unfloored logits, so a wrong label adds its exact loss.
+    With a ``workspace``, the gradient is its array, which the next call
+    overwrites, and the target over the batch is made once for the same
+    ``labels`` object, so they must not change in place between its calls.
     """
     z = _class_major(logits)
     n = z.shape[1]
     target = (one_hot(labels) if np.ndim(labels) == 1 else labels).T
-    shifted, e = _shifted_exp(z)
-    s = e.sum(axis=0)
+    ws = Workspace(None, n) if workspace is None else workspace
+    col_max, col_sum, log_sum, shifted, e, scaled_target = ws.loss_arrays(labels, target)
+    shifted, e = _shifted_exp(z, col_max, shifted, e)
+    s = np.add.reduce(e, axis=0, out=col_sum)
     # the target picks each column's label: log(s) less its shifted logit
-    loss = float((np.log(s).sum() - np.vdot(shifted, target)) / n)
-    e *= 1.0 / (n * s)
-    e -= target * (1.0 / n)
+    loss = float((np.log(s, out=log_sum).sum() - np.vdot(shifted, target)) / n)
+    s *= n
+    e *= np.divide(1.0, s, out=s)  # 1 / (n * s)
+    e -= scaled_target
     return loss, e.T
 
 
@@ -239,13 +330,19 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
+        self._terms = np.empty_like(theta), np.empty_like(theta)  # a step's temporaries
 
     def step(self, grad):
         self.t += 1
+        a, b = self._terms
         self.m *= BETA1
-        self.m += (1.0 - BETA1) * grad
+        self.m += np.multiply(grad, 1.0 - BETA1, out=a)
         self.v *= BETA2
-        self.v += (1.0 - BETA2) * (grad * grad)
+        self.v += np.multiply(np.multiply(grad, grad, out=a), 1.0 - BETA2, out=a)
         root = (1.0 - BETA2**self.t) ** 0.5
         alpha = self.lr * root / (1.0 - BETA1**self.t)
-        self.theta -= alpha * self.m / (np.sqrt(self.v) + EPS * root)
+        b = np.sqrt(self.v, out=b)
+        b += EPS * root
+        a = np.multiply(self.m, alpha, out=a)
+        a /= b
+        self.theta -= a

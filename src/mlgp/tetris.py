@@ -155,6 +155,7 @@ def make_dataset(kind, size, noise_a=0.0, seed=0):
     give bit-identical datasets.
     """
     check_count("size", size, NUM_CLASSES)
+    check_count("seed", seed, 0)
     a = check_real("noise amplitude", noise_a)
     if not (a >= 0.0 and np.isfinite(2.0 * a)):  # the width of (-a, a)
         raise ValueError(f"noise amplitude must be nonnegative with 2a finite, got {noise_a}")

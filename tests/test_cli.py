@@ -46,6 +46,22 @@ def test_gen_data_rejects_nan_inf_and_overflowing_noise(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_gen_data_train_and_isometry_test_check_the_seed(tmp_path, capsys):
+    # a negative seed printed NumPy's "expected non-negative integer", naming no seed
+    ckpt = _trained_checkpoint(tmp_path, epochs=5)
+    data = tmp_path / "data.csv"
+    assert run("gen-data", "--size", "16", "--seed", "1", "--out", data) == 0
+    capsys.readouterr()
+    for argv in (("gen-data", "--size", "16", "--out", tmp_path / "bad.csv"),
+                 ("train", "--model", "mlgp", "--train", data, "--epochs", "2",
+                  "--out", tmp_path / "bad.json"),
+                 ("isometry-test", "--checkpoint", ckpt, "--test", data, "--trials", "2")):
+        assert run(*argv, "--seed", "-1") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be an integer >= 0, got -1\n" and not captured.out
+    assert not (tmp_path / "bad.csv").exists() and not (tmp_path / "bad.json").exists()
+
+
 def test_train_and_checkpoint(tmp_path, capsys):
     data = tmp_path / "train.csv"
     val = tmp_path / "val.csv"

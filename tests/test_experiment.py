@@ -436,6 +436,19 @@ def test_isometry_test_checks_its_inputs_before_any_pool_starts(three_cpus, monk
                       trials=2)
 
 
+def test_isometry_test_checks_its_seed_before_any_pool_starts(three_cpus, monkeypatch):
+    # 1.5 raised SeedSequence's TypeError and -1 NumPy's "expected non-negative
+    # integer", neither naming the seed; a NumPy integer seed stays the same seed
+    model, data = make_small_trained_mlgp(), make_dataset("main", 64, seed=63)
+    want = isometry_test(model, data, trials=2, seed=7).accuracies
+    got = isometry_test(model, data, trials=2, seed=np.int64(7)).accuracies
+    assert all(np.array_equal(got[name], want[name]) for name in COMBO_NAMES)
+    monkeypatch.setattr(experiment, "_map", None)  # a pool would raise TypeError
+    for seed in (1.5, -1, True, "3", None):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
+            isometry_test(model, data, trials=2, seed=seed)
+
+
 class RecordedPool:
     """A stand-in for ProcessPoolExecutor that runs in this process and records its size."""
 
@@ -543,9 +556,12 @@ def test_isometry_test_draws_the_same_motions_for_fewer_trials():
 def test_an_empty_batch_has_no_shapes_to_score():
     model = build_model("mlgp", np.random.default_rng(1))
     empty = LabeledShapeSet(np.empty((0, 4, 3)), np.empty(0, dtype=int))
+    # a 0-d input has none either (len() of it raised TypeError)
     for call in (lambda: accuracy(model, empty.points, empty.labels),
                  lambda: predict(model, empty.points),
-                 lambda: isometry_test(model, empty, trials=1)):
+                 lambda: isometry_test(model, empty, trials=1),
+                 lambda: forward(model, 5.0), lambda: accuracy(model, 5.0, [0]),
+                 lambda: predict(model, 5.0), lambda: fit(model, 5.0, [0], 1)):
         with pytest.raises(ValueError, match="^no shapes to score$"):
             call()
 

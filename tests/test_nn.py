@@ -13,6 +13,7 @@ from mlgp.nn import (
     EVAL_BLOCK,
     EXP_FLOOR,
     Adam,
+    Workspace,
     backward,
     embed_input,
     eval_blocks,
@@ -341,20 +342,35 @@ def test_nan_logits_give_a_nan_loss_gradient_and_softmax():
     assert np.all(np.isnan(p[1])) and np.all(np.isfinite(p[[0, 2]]))
 
 
-def finite_difference_check(kind, seed, batch=4, h=1e-6, tol=1e-5):
+def finite_difference_check(kind, seed, calls, batch=4, h=1e-6, tol=1e-5):
+    """The gradient against central differences of the loss, run ``calls`` times.
+
+    ``calls`` is 1 without a workspace, or 2 with one workspace for both calls
+    and every loss evaluation, so the second call, one Adam step on, reads
+    what the first left.
+    """
     rng = np.random.default_rng(seed)
     model = build_model(kind, rng)
     pts = rng.uniform(-3, 3, (batch, 4, 3))
     labels = rng.integers(0, 8, batch)
+    ws = None if calls == 1 else Workspace(model, batch)
+    opt = Adam(model.theta, 0.05)
 
     def loss_of():
-        logits, _ = forward(model, pts)
-        return softmax_cross_entropy(logits, labels)[0]
+        logits, _ = forward(model, pts, workspace=ws)
+        return softmax_cross_entropy(logits, labels, ws)[0]
 
-    logits, trace = forward(model, pts)
-    _, dlogits = softmax_cross_entropy(logits, labels)
-    grad = backward(model, trace, dlogits)
-    assert grad.shape == model.theta.shape
+    for _ in range(calls):
+        logits, trace = forward(model, pts, workspace=ws)
+        _, dlogits = softmax_cross_entropy(logits, labels, ws)
+        grad = backward(model, trace, dlogits, ws).copy()
+        assert grad.shape == model.theta.shape
+        check_gradient(model, grad, loss_of, h, tol)
+        opt.step(grad)
+
+
+def check_gradient(model, grad, loss_of, h, tol):
+    """Every entry of ``grad`` against central differences of ``loss_of()``."""
     theta = model.theta
     worst = 0.0
     for idx in range(theta.size):
@@ -369,19 +385,26 @@ def finite_difference_check(kind, seed, batch=4, h=1e-6, tol=1e-5):
         scale = max(abs(num), abs(ana))
         if scale > 1e-8:
             worst = max(worst, abs(num - ana) / scale)
-    assert worst < tol, f"{kind}: relative error {worst}"
+    assert worst < tol, f"{model.kind}: relative error {worst}"
 
 
-def test_gradients_match_finite_differences_mlp():
-    finite_difference_check("mlp", 12)
+# 1: no workspace; 2: one workspace reused for two calls
+GRADIENT_CALLS = pytest.mark.parametrize("calls", [1, 2], ids=["fresh", "workspace"])
 
 
-def test_gradients_match_finite_differences_mlhp():
-    finite_difference_check("mlhp", 13)
+@GRADIENT_CALLS
+def test_gradients_match_finite_differences_mlp(calls):
+    finite_difference_check("mlp", 12, calls)
 
 
-def test_gradients_match_finite_differences_mlgp():
-    finite_difference_check("mlgp", 14)
+@GRADIENT_CALLS
+def test_gradients_match_finite_differences_mlhp(calls):
+    finite_difference_check("mlhp", 13, calls)
+
+
+@GRADIENT_CALLS
+def test_gradients_match_finite_differences_mlgp(calls):
+    finite_difference_check("mlgp", 14, calls)
 
 
 def test_backward_zero_upstream():
@@ -581,3 +604,49 @@ def test_loss_and_backward_do_not_depend_on_the_logit_layout():
             assert loss_1h == loss and np.array_equal(d_1h, d)
         grad = backward(model, trace, d)
         assert np.array_equal(grad, backward(model, trace, np.ascontiguousarray(d)))
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("batch", [1000, 37])
+def test_fit_in_its_workspace_matches_the_loop_without_one(kind, batch):
+    # a fit reuses one workspace's arrays every epoch; the public calls without
+    # one allocate fresh arrays, and both must give the same bits
+    data = make_dataset("main", batch, noise_a=0.1, seed=26)
+    model = build_model(kind, np.random.default_rng(27))
+    plain = model.copy()
+    losses = fit(model, data.points, data.labels, 300)
+    first, target = embed_input(plain, data.points), one_hot(data.labels)
+    opt = Adam(plain.theta, 0.001)
+    plain_losses = []
+    for _ in range(300):
+        logits, trace = forward(plain, data.points, first)
+        loss, dlogits = softmax_cross_entropy(logits, target)
+        opt.step(backward(plain, trace, dlogits))
+        plain_losses.append(loss)
+    assert np.array_equal(model.theta, plain.theta)
+    assert np.array_equal(losses, plain_losses)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_one_workspace_serves_a_changing_theta_and_a_second_model(kind):
+    # each call through the workspace must give the bits of a call without it:
+    # a -1 row, norm row, gradient slot or scaled target left over from an
+    # earlier call, a theta ago or for another model and its data, would not
+    ws = Workspace(build_model(kind), 37)
+    for seed in (28, 29):
+        rng = np.random.default_rng(seed)
+        model = build_model(kind, rng)
+        points = make_dataset("main", 37, noise_a=0.1, seed=seed).points
+        first, target = embed_input(model, points), one_hot(rng.integers(0, 8, 37))
+        opt = Adam(model.theta, 0.01)
+        for _ in range(20):
+            logits, trace = forward(model, points, first)
+            loss, dlogits = softmax_cross_entropy(logits, target)
+            grad = backward(model, trace, dlogits)
+            ws_logits, ws_trace = forward(model, points, first, ws)
+            ws_loss, ws_dlogits = softmax_cross_entropy(ws_logits, target, ws)
+            assert np.array_equal(ws_logits, logits) and ws_loss == loss
+            assert all(np.array_equal(a, b) for a, b in zip(ws_trace, trace))
+            assert np.array_equal(ws_dlogits, dlogits)
+            assert np.array_equal(backward(model, ws_trace, ws_dlogits, ws), grad)
+            opt.step(grad)

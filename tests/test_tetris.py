@@ -179,6 +179,13 @@ def test_make_dataset_basics():
             make_dataset(MAIN, 8, noise)
     assert np.array_equal(make_dataset(MAIN, 8, np.float64(0.1), 3).points,
                           make_dataset(MAIN, 8, 0.1, 3).points)
+    # 2.5 raised SeedSequence's TypeError and -1 NumPy's "expected non-negative
+    # integer", neither naming the seed
+    for seed in (2.5, -1, True, "3", None):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
+            make_dataset(MAIN, 16, 0.0, seed)
+    assert np.array_equal(make_dataset(MAIN, 16, 0.0, np.uint64(2**64 - 1)).points,
+                          make_dataset(MAIN, 16, 0.0, 2**64 - 1).points)
 
 
 def test_make_dataset_deterministic():
