@@ -363,7 +363,7 @@ def finite_difference_check(kind, seed, calls, batch=4, h=1e-6, tol=1e-5):
     for _ in range(calls):
         logits, trace = forward(model, pts, workspace=ws)
         _, dlogits = softmax_cross_entropy(logits, labels, ws)
-        grad = backward(model, trace, dlogits, ws).copy()
+        grad = backward(model, trace, dlogits, ws)
         assert grad.shape == model.theta.shape
         check_gradient(model, grad, loss_of, h, tol)
         opt.step(grad)
