@@ -10,11 +10,8 @@ Subcommands:
 
 Each protocol flag, and ``train``'s ``--epochs`` and ``--lr``, sets one field
 of :class:`mlgp.experiment.ProtocolConfig`, which validates it and whose value
-in the reference protocol is its default; ``--desk-scale`` shrinks the protocol
-to 5 runs and a 10000-sample test set.  ``protocol``, and ``isometry-test``
-from ``experiment.POOL_MIN_SHAPE_TRIALS`` shapes x trials on, fork one worker
-process per usable CPU; their output is the same for any number.  Exit status
-is nonzero when an invariant check fails or a training fit diverges.
+in the reference protocol is its default.  Exit status is nonzero when an
+invariant check fails or a training fit diverges.
 """
 
 import argparse
@@ -24,7 +21,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import experiment, models, tetris
-from .nn import check_count
+from .nn import check_count, forward, softmax_cross_entropy
 
 
 _REFERENCE = experiment.ProtocolConfig()
@@ -108,13 +105,16 @@ def _cmd_train(args):
     sets = {name: tetris.load_dataset(path) for name, path in paths.items() if path}
     rng = np.random.default_rng(args.seed)
     model = models.build_model(args.model, rng)
+    train = sets["train"]
     # a diverging fit overflows on its way to NaN; it is reported below instead
     with np.errstate(over="ignore", invalid="ignore"):
-        losses = experiment.fit(model, sets["train"].points, sets["train"].labels, args.epochs, args.lr)
-    if not np.all(np.isfinite(losses)):
-        epoch = int(np.argmin(np.isfinite(losses)))
-        raise ValueError(f"training diverged at epoch {epoch + 1} (loss {losses[epoch]}); "
-                         f"no checkpoint written to {args.out}")
+        losses = experiment.fit(model, train.points, train.labels, args.epochs, args.lr)
+        # each loss precedes its epoch's step, so the fitted model's loss judges the last step
+        end_loss = softmax_cross_entropy(forward(model, train.points)[0], train.labels)[0]
+    for epoch, loss in zip([*experiment.loss_epochs(args.epochs), args.epochs], [*losses, end_loss]):
+        if not np.isfinite(loss):
+            raise ValueError(f"training diverged by epoch {epoch} (loss {loss}); "
+                             f"no checkpoint written to {args.out}")
     final_loss = float(losses[-1]) if len(losses) else float("nan")
     print(f"trained {args.model} for {args.epochs} epochs, final loss {final_loss:.6f}")
     for name, data in sets.items():

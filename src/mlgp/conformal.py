@@ -10,9 +10,8 @@ negative outside.
 :func:`lift` lifts each ``group``-wide block of a vector on its own: every
 3D point of a flattened shape for ``group=3``, a whole n-vector for
 ``group=n``, nothing for ``group=0``.  :func:`lift_grad` is its adjoint.
-Both act on the first axis, so a batch is laid out as (features, batch).
-:func:`lift_norms` recomputes only the norm rows of a lifted buffer, for a
-caller that writes the blocks' coordinates into it and reuses it.
+Both act on the first axis, so a batch is laid out as (features, batch); their
+arithmetic, :func:`lift_norms` and :func:`lift_pull`, takes :func:`lift_rows` views.
 
 Learned sphere vectors are generally scaled by an arbitrary nonzero factor;
 dividing by the last component (``point_normalize``) recovers the canonical
@@ -66,20 +65,21 @@ def lift(x, group):
     out = np.empty((len(g), group + 2) + rest)
     out[:, :group] = g
     out[:, group] = -1.0
-    return lift_norms(out.reshape((-1,) + rest), group)
+    lift_norms(out[:, :group], out[:, group + 1 :])  # contiguous rows even when x is a transposed view
+    return out.reshape((-1,) + rest)
 
 
-def lift_norms(lifted, group, squares=None):
-    """Write each block's -||g||^2/2 row of a C-contiguous ``lifted`` from its g rows.
-
-    Returns ``lifted``.  ``squares``, shaped like the (blocks, group, ...) g rows,
-    takes their squares when given, so a caller that lifts every step reuses it.
-    """
+def lift_rows(lifted, group):
+    """Views of a C-contiguous ``lifted``'s (blocks, group, ...) g and (blocks, 1, ...) last rows."""
     blocks = lifted.reshape((-1, group + 2) + lifted.shape[1:])
-    g = blocks[:, :group]  # contiguous rows even when x is a transposed view
-    norm_sq = np.add.reduce(np.multiply(g, g, out=squares), axis=1, out=blocks[:, group + 1])
+    return blocks[:, :group], blocks[:, group + 1 :]
+
+
+def lift_norms(g, norm_sq, squares=None):
+    """Write the -||g||^2/2 rows ``norm_sq`` from the g rows of :func:`lift_rows`,
+    squaring into ``squares`` when given, which a caller that lifts every step reuses."""
+    np.add.reduce(np.multiply(g, g, out=squares), axis=1, out=norm_sq, keepdims=True)
     norm_sq *= -0.5
-    return lifted
 
 
 def lift_grad(d_lifted, lifted, group, out=None):
@@ -89,10 +89,14 @@ def lift_grad(d_lifted, lifted, group, out=None):
     """
     if group == 0:
         return d_lifted
-    d = d_lifted.reshape((-1, group + 2) + lifted.shape[1:])
-    g = lifted.reshape(d.shape)[:, :group]  # each lifted block starts with its x
-    prod = np.multiply(d[:, group + 1 :], g, out=out)
-    return np.subtract(d[:, :group], prod, out=prod).reshape((-1,) + lifted.shape[1:])
+    pulled = lift_pull(*lift_rows(d_lifted, group), lift_rows(lifted, group)[0], out)
+    return pulled.reshape((-1,) + lifted.shape[1:])
+
+
+def lift_pull(d_g, d_norm, g, out=None):
+    """:func:`lift_grad` on :func:`lift_rows` views: ``d_g - d_norm * g``, into ``out`` if given."""
+    prod = np.multiply(d_norm, g, out=out)
+    return np.subtract(d_g, prod, out=prod)
 
 
 def embed_point(x):

@@ -150,27 +150,37 @@ def run_seeds(config, model_kind):
     return [derive_seed(config.master_seed, 1, idx, r) for r in range(config.runs)]
 
 
-def fit(model, points, labels, epochs, lr=ProtocolConfig.lr):
-    """Full-batch Adam on softmax cross-entropy; returns per-epoch losses.
+# fit computes the loss value, which no epoch's step reads, only every this many epochs
+LOSS_EVERY = 100
 
-    The learning rate defaults to the reference protocol's, and Adam's decay
-    rates are ``nn.BETA1`` and ``nn.BETA2``.  The first layer's input
-    lift has no parameters and the labels do not change, so the lift and the
-    one-hot target are computed once and reused every epoch, and every epoch
-    runs in one ``nn.Workspace`` made for the model and the batch.
+
+def loss_epochs(epochs):
+    """The 1-based epochs whose losses :func:`fit` returns: the first, every
+    ``LOSS_EVERY``-th and the last."""
+    return sorted({1, *range(LOSS_EVERY, epochs + 1, LOSS_EVERY), epochs}) if epochs else []
+
+
+def fit(model, points, labels, epochs, lr=ProtocolConfig.lr):
+    """Full-batch Adam on softmax cross-entropy; returns the losses of :func:`loss_epochs`.
+
+    Each loss is taken before its epoch's step.  The input lift and the one-hot
+    target are made once, and every epoch runs in one ``nn.Workspace``; theta and
+    each returned loss are bit for bit those of a loop without one taking every loss.
     """
     check_count("epochs", epochs, 0)
     first = embed_input(model, points)
     target = one_hot(check_labels(labels, first.shape[1]))
     opt = Adam(model.theta, lr)
     ws = Workspace(model, first.shape[1])
-    losses = np.empty(epochs)
-    for epoch in range(epochs):
+    sampled = set(loss_epochs(epochs))
+    losses = []
+    for epoch in range(1, epochs + 1):
         logits, trace = forward(model, points, first, ws)
-        loss, dlogits = softmax_cross_entropy(logits, target, ws)
+        loss, dlogits = softmax_cross_entropy(logits, target, ws, epoch in sampled)
         opt.step(backward(model, trace, dlogits, ws))
-        losses[epoch] = loss
-    return losses
+        if loss is not None:
+            losses.append(loss)
+    return np.array(losses)
 
 
 def train(config, model_kind, seed, test_set, run_id=0):
@@ -258,10 +268,8 @@ def _train_task(config, test_set, task):
 def run_protocol(config, progress=None):
     """Train every configured model for the configured number of runs.
 
-    Each run is a whole fit, so the runs always go to ``_map``'s pool: one forked
-    worker per usable CPU, up to one per run, with the same result for any number.
-    ``progress(record)`` is called here after each run, in run order.  The trained
-    models are kept, keyed by ``(model, run_id)``.
+    The runs go to ``_map``'s pool; ``progress(record)`` is called here after each
+    run, in run order.  The trained models are kept, keyed by ``(model, run_id)``.
     """
     test_set = make_test_set(config)
     tasks = [(model_kind, run_id, seed) for model_kind in config.models
@@ -335,10 +343,9 @@ def isometry_test(model, test_set, trials=100, seed=0):
     the inner: a block is checked and lifted once, and per trial its coordinates
     are moved feature-major and lifted, so the call holds one block's
     temporaries and O(trials) moved models (~3 KB each), nothing sized by the
-    test set.  From ``POOL_MIN_SHAPE_TRIALS`` shapes x trials on, the blocks are split
-    into one group of consecutive blocks per usable CPU, each scored in a forked worker
-    (see ``_map``); below it they are scored here.  Hit counts add and a maximum is
-    exact, so the report is the same for any number of workers.
+    test set.  From ``POOL_MIN_SHAPE_TRIALS`` shapes x trials on, ``_map``'s pool
+    scores one group of consecutive blocks per usable CPU; hit counts add and a
+    maximum is exact, so the report is the same for any number of workers.
     """
     check_count("trials", trials, 1)
     check_count("seed", seed, 0)

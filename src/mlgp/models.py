@@ -9,11 +9,6 @@ class logits (softmax applied by the loss or by :func:`predict`):
 * ``mlgp``  - point-wise lift to 20 -> linear(20 -> 4) -> lift to 6
               -> linear(6 -> 8), no biases; 128 params.
 
-A :class:`Model` is its kind plus one float64 vector ``theta``; each layer
-is a row ``(group, in_dim, out_dim)`` of ``ARCHITECTURES``, and its weights
-and bias are views into ``theta``.  So copies and training handle one
-vector, and a checkpoint is the kind, the Adam step count and ``theta``.
-
 The geometric first layer of ``mlgp`` admits an exact weight-space rigid
 motion action (:func:`transform_mlgp_weights`): moving the input shape and
 the weights together leaves every activation unchanged.
@@ -45,9 +40,9 @@ CHECKPOINT_FORMAT = "mlgp-checkpoint-v2"
 class Model:
     """A classifier whose parameters all live in one float64 vector ``theta``.
 
-    ``theta`` holds, per layer of ``ARCHITECTURES[kind]``, the row-major
-    weights, then a dense layer's bias; ``layers`` view it.  It starts at
-    zero unless given as a float64 vector of the architecture's size.
+    ``theta`` holds, per layer of ``ARCHITECTURES[kind]``, the row-major weights,
+    then a dense layer's bias; ``layers`` view it, so copies, training and checkpoints
+    handle one vector.  It starts at zero unless given as a float64 vector of its size.
     """
 
     def __init__(self, kind, theta=None):

@@ -1,36 +1,12 @@
 """Layers, exact hand-derived gradients, softmax cross-entropy, and Adam.
 
-A model's parameters are one float64 vector ``theta`` that its layers view;
-:func:`backward` returns the gradient in that layout, for :class:`Adam`.
-
-A layer is its lift group: it computes ``W @ lift(x, group)`` with the
-conformal lift of :mod:`mlgp.conformal`, where ``group`` is 3 for mlgp's
-point-wise first layer, the input width for a hypersphere layer and 0 for a
-dense layer (no lift; a bias instead).  The lift is nonlinear, so it is the
-hidden nonlinearity; only a dense layer, which has none, takes a ReLU of its
-hidden input.  Gradients pass back through the lift's adjoint, ``lift_grad``.
+A model's parameters are one float64 vector ``theta`` that its :class:`Layer`
+objects view; :func:`backward` returns the gradient in that layout, for :class:`Adam`.
 
 Inside :func:`forward`, :func:`backward` and the loss, arrays are laid out as
 (features, batch): the classes are summed over axis 0, and ``dW = dz @ x.T``.
 The boundary stays batch-major: (batch, 4, 3) points, (batch, 8) logits and
-gradients as free ``.T`` views.  :func:`embed_input` checks the input and lifts
-it, (in_dim, batch), for a fit to cache.  :func:`forward` is one pass over the
-batch it is given; large sets are scored in blocks of at most ``EVAL_BLOCK``
-shapes (:func:`eval_blocks`) by ``models.accuracy``, ``models.predict`` and the
-isometry test.  A fit builds the loss's :func:`one_hot` target once; the loss
-takes one ``exp``, floored at ``EXP_FLOOR``, and :class:`Adam` steps in the
-efficient form of Kingma & Ba's section 2 at their ``BETA1`` and ``BETA2``.
-
-A fit runs every epoch in one :class:`Workspace`, made for its model and batch
-size, so an epoch allocates no batch-sized array.  Across epochs it keeps each
-hidden layer's input (a lift buffer whose -1 row is written once and whose top
-rows take the product of the layer before, or a dense product that takes its
-bias and ReLU in place), the logits, the loss's shifted logits, their exp, its
-column buffers and its target over the batch, and the theta-shaped gradient
-and upstream gradients of :func:`backward`; :class:`Adam` keeps its step's
-temporaries.  The logits, trace and gradient returned with a workspace are
-views of its arrays, which the next call overwrites.  Without one, a call
-allocates fresh arrays and runs the same code, with the same results.
+gradients as free ``.T`` views.  A fit runs every epoch in one :class:`Workspace`.
 """
 
 import numbers
@@ -38,13 +14,17 @@ from itertools import accumulate
 
 import numpy as np
 
-from .conformal import lift, lift_grad, lift_norms
+from .conformal import lift, lift_norms, lift_pull, lift_rows
 
 
 class Layer:
-    """One layer of a model: its lift group, its widths and parameter views.
+    """One layer of a model, ``W @ lift(x, group)``: its lift group, widths and parameter views.
 
-    ``group`` counts the input coordinates per lifted block (0: no lift).
+    ``group`` counts the input coordinates per block of :mod:`mlgp.conformal`'s
+    lift: 3 for mlgp's point-wise first layer, the input width for a hypersphere
+    layer, 0 for a dense layer (no lift; a bias instead).  The lift is nonlinear,
+    so it is the hidden nonlinearity; only a dense layer takes a ReLU of its
+    hidden input.  Gradients pass back through the lift's adjoint, ``lift_grad``.
     ``in_dim`` counts the features the weights multiply, after the lift.
     ``params`` is the layer's stretch of the model's parameter vector: the
     row-major (out_dim, in_dim) weights, then a dense layer's out_dim biases.
@@ -108,8 +88,13 @@ def eval_blocks(n):
 class Workspace:
     """The arrays of one architecture and batch size that a fit's epochs reuse.
 
-    Each phase makes its arrays on first use (see the module docstring), so a
-    call without a workspace, which makes its own, allocates what it uses.
+    :func:`forward`, :func:`softmax_cross_entropy` and :func:`backward` take one
+    as their ``workspace`` option; a call without one makes its own, so it runs
+    the same code to the same results in fresh arrays.  Each phase makes its
+    arrays, listed by its ``*_arrays`` method, and the views its calls read on
+    first use.  The logits, trace and gradient returned with a workspace are
+    views of its arrays, which the next call overwrites.  It serves any model of
+    its kind, and makes the loss's target again only for another ``labels`` object.
     """
 
     def __init__(self, model, batch):
@@ -118,8 +103,8 @@ class Workspace:
         self._forward = self._loss = self._backward = self._labels = None
 
     def forward_arrays(self):
-        """Per layer: the array its product goes to, the next layer's lift buffer
-        that holds it (or None) with that lift's squares, and whether a ReLU follows."""
+        """Per layer: the array its product goes to, the next layer's lift buffer that holds
+        it (or None; its -1 row written once) with ``lift_norms``'s arguments, and a ReLU flag."""
         if self._forward is None:
             self._forward = [self._product(layer, nxt, self._batch)
                              for layer, nxt in zip(self._layers, [*self._layers[1:], None])]
@@ -133,21 +118,23 @@ class Workspace:
             raise ValueError("a hidden lift must lift the whole product before it as one block")
         lifted = np.empty((nxt.in_dim, n))
         lifted[nxt.group] = -1.0
-        return lifted[: layer.out_dim], lifted, np.empty((1, nxt.group, n)), False
+        g, norm_sq = lift_rows(lifted, nxt.group)
+        return lifted[: layer.out_dim], lifted, (g, norm_sq, np.empty(g.shape)), False
 
-    def loss_arrays(self, labels, target):
+    def loss_arrays(self, labels):
         """Column maxima, sums and log-sums, the (8, batch) shifted logits and exp,
-        and ``target * (1 / batch)``, made again only for other ``labels``."""
+        and the class-major target of ``labels`` and it times ``1 / batch``."""
         n = self._batch
         if self._loss is None:
-            self._loss = [*np.empty((3, n)), np.empty((8, n)), np.empty((8, n)), None]
+            self._loss = [*np.empty((3, n)), np.empty((8, n)), np.empty((8, n)), None, None]
         if self._labels is not labels:
-            self._labels, self._loss[-1] = labels, target * (1.0 / n)
+            target = (one_hot(labels) if np.ndim(labels) == 1 else labels).T
+            self._labels, self._loss[-2:] = labels, (target, target * (1.0 / n))
         return self._loss
 
     def backward_arrays(self):
-        """The gradient, per layer a Layer viewing its slot, and per hidden layer
-        its upstream gradient and the lift's pulled-back gradient or ReLU mask."""
+        """The gradient, per layer a Layer viewing its slot, per hidden layer its upstream
+        gradient, and a ReLU mask or (d_g, d_norm, out, out in 2-D) for ``lift_pull``."""
         if self._backward is None:
             n, layers = self._batch, self._layers
             ends = (0, *accumulate(layer.params.size for layer in layers))
@@ -155,8 +142,13 @@ class Workspace:
             slots = [Layer(layer.group, layer.in_dim, layer.out_dim, grad[a:b])
                      for layer, a, b in zip(layers, ends, ends[1:])]
             upstream = [None] + [np.empty((layer.in_dim, n)) for layer in layers[1:]]
-            pulled = [None] + [np.empty((1, layer.group, n)) if layer.group
-                               else np.empty((layer.in_dim, n), bool) for layer in layers[1:]]
+            pulled = [None]
+            for layer, d in zip(layers[1:], upstream[1:]):
+                if layer.group:
+                    out = np.empty((1, layer.group, n))
+                    pulled.append((*lift_rows(d, layer.group), out, out.reshape(-1, n)))
+                else:
+                    pulled.append(np.empty(d.shape, bool))
             self._backward = grad, slots, upstream, pulled
         return self._backward
 
@@ -166,24 +158,22 @@ def forward(model, points, first_embedded=None, workspace=None):
 
     Returns ``(logits, trace)``: (batch, 8) logits and, per layer, the (in_dim,
     batch) input its weights multiplied, of which the first may be given as
-    ``first_embedded``.  Between layers, the next layer's lift or a dense
-    layer's ReLU is the nonlinearity: each product is written into the top
-    rows of the next layer's lift, or takes its bias and ReLU in place.  The
-    pass holds batch-sized temporaries, so large sets go through ``accuracy``,
-    ``predict`` or :func:`eval_blocks`.  One shape is a batch of one; a bare
-    (4, 3) shape raises ValueError.  With a ``workspace``, the logits and the
-    trace's hidden inputs are its arrays, which the next call overwrites.
+    ``first_embedded``.  The pass holds batch-sized temporaries, so large sets
+    are scored in :func:`eval_blocks` by ``models.accuracy``, ``models.predict``
+    and the isometry test.  One shape is a batch of one; a bare (4, 3) shape
+    raises ValueError.  For ``workspace``, see :class:`Workspace`.
     """
     h = embed_input(model, points) if first_embedded is None else first_embedded
     ws = Workspace(model, h.shape[1]) if workspace is None else workspace
     trace = []
-    for layer, (out, lifted, squares, relu) in zip(model.layers, ws.forward_arrays()):
+    for layer, (out, lifted, rows, relu) in zip(model.layers, ws.forward_arrays()):
         trace.append(h)
         h = np.matmul(layer.w, h, out=out)
         if layer.b is not None:
             h += layer.b[:, None]
         if lifted is not None:
-            h = lift_norms(lifted, squares.shape[1], squares)
+            lift_norms(*rows)
+            h = lifted
         elif relu:
             np.maximum(h, 0.0, out=h)
     return h.T, trace
@@ -196,8 +186,7 @@ def backward(model, trace, d_logits, workspace=None):
     in ``theta``'s layout: layer by layer, the row-major weight gradient,
     then a dense layer's bias gradient, each written into its slot.  The lift
     of the raw model input carries no parameters, so no gradient is propagated
-    past the first layer.  With a ``workspace``, the gradient is its array,
-    which the next call overwrites.
+    past the first layer.  For ``workspace``, see :class:`Workspace`.
     """
     d = _class_major(d_logits)
     ws = Workspace(model, d.shape[1]) if workspace is None else workspace
@@ -210,7 +199,8 @@ def backward(model, trace, d_logits, workspace=None):
         if i > 0:
             d = np.matmul(layer.w.T, d, out=upstream[i])
             if layer.group:
-                d = lift_grad(d, x, layer.group, pulled[i])
+                d_g, d_norm, out, d = pulled[i]
+                lift_pull(d_g, d_norm, lift_rows(x, layer.group)[0], out)
             else:  # max(p, 0) > 0 exactly when p > 0: the ReLU's mask, 0 at 0
                 d *= np.greater(x, 0.0, out=pulled[i])
     return grad
@@ -254,26 +244,23 @@ def one_hot(labels):
     return target.T
 
 
-def softmax_cross_entropy(logits, labels, workspace=None):
+def softmax_cross_entropy(logits, labels, workspace=None, value=True):
     """Mean cross-entropy of (batch, 8) logits and its gradient.
 
     ``labels`` is a (batch,) vector of integers in 0..7 or its :func:`one_hot`.
-    Returns the mean loss and its (batch, 8) gradient with respect to the
-    logits, ``(softmax - onehot) / batch``.  One ``exp``, floored, serves both;
-    the loss reads the unfloored logits, so a wrong label adds its exact loss.
-    With a ``workspace``, the gradient is its array, which the next call
-    overwrites, and the target over the batch is made once for the same
-    ``labels`` object, so they must not change in place between its calls.
+    Returns the mean loss, or None unless ``value``, and its (batch, 8) gradient
+    with respect to the logits, ``(softmax - onehot) / batch``.  One ``exp``,
+    floored, serves both; the loss reads the unfloored logits, so a wrong label
+    adds its exact loss.  For ``workspace``, see :class:`Workspace`.
     """
     z = _class_major(logits)
     n = z.shape[1]
-    target = (one_hot(labels) if np.ndim(labels) == 1 else labels).T
     ws = Workspace(None, n) if workspace is None else workspace
-    col_max, col_sum, log_sum, shifted, e, scaled_target = ws.loss_arrays(labels, target)
+    col_max, col_sum, log_sum, shifted, e, target, scaled_target = ws.loss_arrays(labels)
     shifted, e = _shifted_exp(z, col_max, shifted, e)
     s = np.add.reduce(e, axis=0, out=col_sum)
     # the target picks each column's label: log(s) less its shifted logit
-    loss = float((np.log(s, out=log_sum).sum() - np.vdot(shifted, target)) / n)
+    loss = float((np.log(s, out=log_sum).sum() - np.vdot(shifted, target)) / n) if value else None
     s *= n
     e *= np.divide(1.0, s, out=s)  # 1 / (n * s)
     e -= scaled_target
@@ -321,6 +308,7 @@ class Adam:
     The decay rates are their defaults, ``BETA1`` and ``BETA2``.  A step takes
     the efficient form of their section 2, with ``EPS`` scaled by
     sqrt(1 - BETA2**t): the textbook update, so ``EPS`` keeps its meaning.
+    ``m`` and ``v`` view the rows of one array, decayed and fed in one call each.
     """
 
     def __init__(self, theta, lr):
@@ -328,21 +316,27 @@ class Adam:
         self.theta = theta
         self.lr = lr
         self.t = 0
-        self.m = np.zeros_like(theta)
-        self.v = np.zeros_like(theta)
-        self._terms = np.empty_like(theta), np.empty_like(theta)  # a step's temporaries
+        self._moments = np.zeros((2, *np.shape(theta)))
+        self.m, self.v = self._moments
+        # shaped as the moments: a (2, 1) column would take NumPy's slower broadcasting loop
+        self._decays = np.ones_like(self._moments) * [[BETA1], [BETA2]]
+        self._gains = np.ones_like(self._moments) * [[1.0 - BETA1], [1.0 - BETA2]]
+        # a step's temporaries: rows for (g, g*g), then for the update and its divisor
+        self._terms = np.empty_like(self._moments)
+        self._a, self._b = self._terms
 
     def step(self, grad):
         self.t += 1
-        a, b = self._terms
-        self.m *= BETA1
-        self.m += np.multiply(grad, 1.0 - BETA1, out=a)
-        self.v *= BETA2
-        self.v += np.multiply(np.multiply(grad, grad, out=a), 1.0 - BETA2, out=a)
+        a, b = self._a, self._b
+        np.copyto(a, grad)
+        np.multiply(grad, grad, out=b)
+        self._terms *= self._gains
+        self._moments *= self._decays
+        self._moments += self._terms
         root = (1.0 - BETA2**self.t) ** 0.5
         alpha = self.lr * root / (1.0 - BETA1**self.t)
-        b = np.sqrt(self.v, out=b)
+        np.sqrt(self.v, out=b)
         b += EPS * root
-        a = np.multiply(self.m, alpha, out=a)
+        np.multiply(self.m, alpha, out=a)
         a /= b
         self.theta -= a

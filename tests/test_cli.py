@@ -204,7 +204,24 @@ def test_train_reports_a_diverged_fit(tmp_path, capsys):
                "--lr", "1e300", "--out", ckpt) == 1
     captured = capsys.readouterr()
     assert not captured.out
-    assert captured.err == (f"error: training diverged at epoch 2 (loss nan); "
+    # the loss is sampled at epochs 1, 100, 200 and 300: 100 is the first non-finite one
+    assert captured.err == (f"error: training diverged by epoch 100 (loss nan); "
+                            f"no checkpoint written to {ckpt}\n")
+    assert not ckpt.exists()
+
+
+def test_train_reports_a_fit_that_diverges_on_its_last_step(tmp_path, capsys):
+    # epoch 1's loss precedes its step and is finite; the step leaves theta
+    # near 1e300, whose logits overflow, so only the fitted model shows it
+    data = tmp_path / "t.csv"
+    ckpt = tmp_path / "model.json"
+    run("gen-data", "--size", "64", "--seed", "1", "--out", data)
+    capsys.readouterr()
+    assert run("train", "--model", "mlhp", "--train", data, "--epochs", "1",
+               "--lr", "1e300", "--out", ckpt) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == (f"error: training diverged by epoch 1 (loss nan); "
                             f"no checkpoint written to {ckpt}\n")
     assert not ckpt.exists()
 

@@ -23,6 +23,7 @@ from mlgp.experiment import (
     fit,
     isometry_test,
     load_records,
+    loss_epochs,
     load_results,
     make_test_set,
     run_protocol,
@@ -124,6 +125,16 @@ def test_fit_rejects_negative_or_non_integer_epochs():
             fit(model, data.points, data.labels, epochs)
     assert np.array_equal(model.theta, before)
     assert fit(model, data.points, data.labels, np.int64(2)).shape == (2,)
+
+
+def test_fit_returns_the_loss_of_the_first_every_hundredth_and_the_last_epoch():
+    data = make_dataset("main", 16, seed=45)
+    sampled = {0: [], 1: [1], 2: [1, 2], 100: [1, 100], 101: [1, 100, 101],
+               250: [1, 100, 200, 250]}
+    for epochs, want in sampled.items():
+        assert loss_epochs(epochs) == want
+        model = build_model("mlp", np.random.default_rng(44))
+        assert fit(model, data.points, data.labels, epochs).shape == (len(want),)
 
 
 def test_fit_rejects_a_label_count_other_than_the_shape_count():
