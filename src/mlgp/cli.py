@@ -115,8 +115,7 @@ def _cmd_train(args):
         if not np.isfinite(loss):
             raise ValueError(f"training diverged by epoch {epoch} (loss {loss}); "
                              f"no checkpoint written to {args.out}")
-    final_loss = float(losses[-1]) if len(losses) else float("nan")
-    print(f"trained {args.model} for {args.epochs} epochs, final loss {final_loss:.6f}")
+    print(f"trained {args.model} for {args.epochs} epochs, final loss {end_loss:.6f}")
     for name, data in sets.items():
         print(f"{name} accuracy {models.accuracy(model, data.points, data.labels) * 100:.2f}%")
     models.save_checkpoint(args.out, args.model, model, adam_step=args.epochs)

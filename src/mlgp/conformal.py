@@ -7,11 +7,11 @@ vectors equals ``-||x - c||^2/2 + r^2/2``, so sphere incidence becomes a
 linear functional of the lifted point: positive inside, zero on the surface,
 negative outside.
 
-:func:`lift` lifts each ``group``-wide block of a vector on its own: every
-3D point of a flattened shape for ``group=3``, a whole n-vector for
-``group=n``, nothing for ``group=0``.  :func:`lift_grad` is its adjoint.
-Both act on the first axis, so a batch is laid out as (features, batch); their
-arithmetic, :func:`lift_norms` and :func:`lift_pull`, takes :func:`lift_rows` views.
+:func:`lift` lifts each ``group``-wide block of a vector on its own: every 3D point
+of a flattened shape for ``group=3``, a whole n-vector for ``group=n``; ``group=0`` is
+the homogeneous ``(x, 1)``, which makes a dense layer's bias its last weight column.
+:func:`lift_grad` is the adjoint.  Both act on the first axis, so a batch is laid out as
+(features, batch); :func:`lift_norms` and :func:`lift_pull` take :func:`lift_rows` views.
 
 Learned sphere vectors are generally scaled by an arbitrary nonzero factor;
 dividing by the last component (``point_normalize``) recovers the canonical
@@ -56,11 +56,15 @@ def _as_finite_vector(x, name):
 
 
 def lift(x, group):
-    """Lift every ``group``-wide block g of axis 0 to (g, -1, -||g||^2/2)."""
+    """Lift every ``group``-wide block g of axis 0 to (g, -1, -||g||^2/2), or for
+    ``group=0`` all of axis 0 to (x, 1); the result is a new C-contiguous array."""
     x = np.asarray(x, dtype=float)
-    if group == 0:
-        return x
     rest = x.shape[1:]
+    if group == 0:
+        out = np.empty((len(x) + 1,) + rest)
+        out[:-1] = x
+        out[-1] = 1.0
+        return out
     g = x.reshape((-1, group) + rest)
     out = np.empty((len(g), group + 2) + rest)
     out[:, :group] = g
@@ -88,7 +92,7 @@ def lift_grad(d_lifted, lifted, group, out=None):
     ``out``, shaped (blocks, group, ...), receives it when given.
     """
     if group == 0:
-        return d_lifted
+        return d_lifted[:-1]
     pulled = lift_pull(*lift_rows(d_lifted, group), lift_rows(lifted, group)[0], out)
     return pulled.reshape((-1,) + lifted.shape[1:])
 

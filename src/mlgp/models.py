@@ -3,7 +3,7 @@
 All models map a batch of 4-point 3D shapes, (batch, 4, 3), to (batch, 8)
 class logits (softmax applied by the loss or by :func:`predict`):
 
-* ``mlp``   - Dense(12 -> 6, bias) -> ReLU -> Dense(6 -> 8, bias); 134 params.
+* ``mlp``   - (x, 1), 13 -> linear(13 -> 6) -> ReLU -> (h, 1), 7 -> linear(7 -> 8); 134 params.
 * ``mlhp``  - flatten to 12, lift to 14 -> linear(14 -> 5) -> lift to 7
               -> linear(7 -> 8), no biases; 126 params.
 * ``mlgp``  - point-wise lift to 20 -> linear(20 -> 4) -> lift to 6
@@ -27,21 +27,21 @@ MLHP = "mlhp"
 MLGP = "mlgp"
 MODEL_KINDS = (MLP, MLHP, MLGP)
 
-# (lift group, lifted in_dim, out_dim) per layer; group 0 is a dense layer
+# (lift group, lifted in_dim, out_dim) per layer; group 0 is a dense layer, lifted to (x, 1)
 ARCHITECTURES = {
-    MLP: ((0, 12, 6), (0, 6, 8)),
+    MLP: ((0, 13, 6), (0, 7, 8)),
     MLHP: ((12, 14, 5), (5, 7, 8)),
     MLGP: ((3, 20, 4), (4, 6, 8)),
 }
 
-CHECKPOINT_FORMAT = "mlgp-checkpoint-v2"
+CHECKPOINT_FORMAT = "mlgp-checkpoint-v3"
 
 
 class Model:
     """A classifier whose parameters all live in one float64 vector ``theta``.
 
-    ``theta`` holds, per layer of ``ARCHITECTURES[kind]``, the row-major weights,
-    then a dense layer's bias; ``layers`` view it, so copies, training and checkpoints
+    ``theta`` holds, per layer of ``ARCHITECTURES[kind]``, the row-major weights (a dense
+    layer's last column is its bias); ``layers`` view it, so copies, training and checkpoints
     handle one vector.  It starts at zero unless given as a float64 vector of its size.
     """
 
@@ -49,8 +49,7 @@ class Model:
         if kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
         specs = ARCHITECTURES[kind]
-        sizes = [out_dim * (in_dim + (group == 0)) for group, in_dim, out_dim in specs]
-        starts = (0, *accumulate(sizes))
+        starts = (0, *accumulate(out_dim * in_dim for _, in_dim, out_dim in specs))
         self.kind = kind
         self.theta = theta = np.zeros(starts[-1]) if theta is None else theta
         if not (isinstance(theta, np.ndarray) and theta.dtype == float and theta.shape == starts[-1:]):
@@ -71,14 +70,17 @@ def build_model(kind, rng=None):
     """A fresh model of ``kind``.
 
     The parameter counts are exactly 134 (mlp), 126 (mlhp), and 128 (mlgp).
-    Each layer's weights and bias are drawn in one uniform draw in
-    +-1/sqrt(in_dim); ``rng=None`` gives all-zero parameters.
+    Each layer's weights, then a dense layer's biases, are drawn in one uniform
+    draw in +-1/sqrt(fan_in), where a dense layer's fan-in leaves out its ones
+    row; the biases fill the last column.  ``rng=None`` gives all-zero parameters.
     """
     model = Model(kind)
     if rng is not None:
         for layer in model.layers:
-            bound = 1.0 / np.sqrt(layer.in_dim)
-            layer.params[:] = rng.uniform(-bound, bound, layer.params.size)
+            fan_in = layer.in_dim - (layer.group == 0)
+            bound = 1.0 / np.sqrt(fan_in)
+            draw = np.split(rng.uniform(-bound, bound, layer.w.size), [layer.out_dim * fan_in])
+            layer.w[:] = np.hstack([part.reshape(layer.out_dim, -1) for part in draw])
     return model
 
 

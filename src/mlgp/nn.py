@@ -10,6 +10,7 @@ gradients as free ``.T`` views.  A fit runs every epoch in one :class:`Workspace
 """
 
 import numbers
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -22,23 +23,19 @@ class Layer:
 
     ``group`` counts the input coordinates per block of :mod:`mlgp.conformal`'s
     lift: 3 for mlgp's point-wise first layer, the input width for a hypersphere
-    layer, 0 for a dense layer (no lift; a bias instead).  The lift is nonlinear,
-    so it is the hidden nonlinearity; only a dense layer takes a ReLU of its
-    hidden input.  Gradients pass back through the lift's adjoint, ``lift_grad``.
-    ``in_dim`` counts the features the weights multiply, after the lift.
-    ``params`` is the layer's stretch of the model's parameter vector: the
-    row-major (out_dim, in_dim) weights, then a dense layer's out_dim biases.
-    ``w`` and ``b`` are views into it (``b`` is None without a bias).
+    layer, 0 for a dense layer, whose lift (x, 1) makes its last weight column a bias.
+    The conformal lift is nonlinear, so it is the hidden nonlinearity; only a dense
+    layer takes a ReLU of its hidden input.  Gradients pass back through the lift's
+    adjoint, ``lift_grad``.  ``in_dim`` counts the features the weights multiply,
+    after the lift.  ``w`` is the row-major (out_dim, in_dim) view of ``params``,
+    the layer's stretch of the model's parameter vector.
     """
 
     def __init__(self, group, in_dim, out_dim, params):
         self.group = group
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.params = params
-        n_w = out_dim * in_dim
-        self.w = params[:n_w].reshape(out_dim, in_dim)
-        self.b = params[n_w:] if group == 0 else None
+        self.w = params.reshape(out_dim, in_dim)
 
 
 # every model reads a shape as its 4 points' 3 coordinates: 12 input values
@@ -103,23 +100,27 @@ class Workspace:
         self._forward = self._loss = self._backward = self._labels = None
 
     def forward_arrays(self):
-        """Per layer: the array its product goes to, the next layer's lift buffer that holds
-        it (or None; its -1 row written once) with ``lift_norms``'s arguments, and a ReLU flag."""
+        """Per layer: its product's rows, the array holding them (the next lift buffer, its constant
+        row written once, or the logits), and the ReLU or ``lift_norms`` (squaring into logit rows)."""
         if self._forward is None:
-            self._forward = [self._product(layer, nxt, self._batch)
+            logits = np.empty((self._layers[-1].out_dim, self._batch))
+            self._forward = [self._product(layer, nxt, logits)
                              for layer, nxt in zip(self._layers, [*self._layers[1:], None])]
         return self._forward
 
     @staticmethod
-    def _product(layer, nxt, n):
-        if nxt is None or not nxt.group:
-            return np.empty((layer.out_dim, n)), None, None, nxt is not None
-        if nxt.in_dim != layer.out_dim + 2 or nxt.group != layer.out_dim:
-            raise ValueError("a hidden lift must lift the whole product before it as one block")
-        lifted = np.empty((nxt.in_dim, n))
-        lifted[nxt.group] = -1.0
+    def _product(layer, nxt, logits):
+        if nxt is None:
+            return logits, logits, None
+        if nxt.group not in (0, layer.out_dim) or nxt.group > len(logits):
+            raise ValueError("a hidden lift must lift its whole product as one block of <= 8 rows")
+        lifted = np.empty((nxt.in_dim, logits.shape[1]))
+        lifted[layer.out_dim] = -1.0 if nxt.group else 1.0  # the lift's constant row
+        product = lifted[: layer.out_dim]
+        if not nxt.group:
+            return product, lifted, partial(np.maximum, product, 0.0, out=product)
         g, norm_sq = lift_rows(lifted, nxt.group)
-        return lifted[: layer.out_dim], lifted, (g, norm_sq, np.empty(g.shape)), False
+        return product, lifted, partial(lift_norms, g, norm_sq, logits[: nxt.group].reshape(g.shape))
 
     def loss_arrays(self, labels):
         """Column maxima, sums and log-sums, the (8, batch) shifted logits and exp,
@@ -133,14 +134,13 @@ class Workspace:
         return self._loss
 
     def backward_arrays(self):
-        """The gradient, per layer a Layer viewing its slot, per hidden layer its upstream
-        gradient, and a ReLU mask or (d_g, d_norm, out, out in 2-D) for ``lift_pull``."""
+        """The gradient, per layer its weight-shaped slot, per hidden layer its upstream gradient,
+        and its (product rows, ReLU mask) or (d_g, d_norm, out, out in 2-D) for ``lift_pull``."""
         if self._backward is None:
             n, layers = self._batch, self._layers
-            ends = (0, *accumulate(layer.params.size for layer in layers))
+            ends = (0, *accumulate(layer.w.size for layer in layers))
             grad = np.empty(ends[-1])
-            slots = [Layer(layer.group, layer.in_dim, layer.out_dim, grad[a:b])
-                     for layer, a, b in zip(layers, ends, ends[1:])]
+            slots = [grad[a:b].reshape(layer.w.shape) for layer, a, b in zip(layers, ends, ends[1:])]
             upstream = [None] + [np.empty((layer.in_dim, n)) for layer in layers[1:]]
             pulled = [None]
             for layer, d in zip(layers[1:], upstream[1:]):
@@ -148,7 +148,7 @@ class Workspace:
                     out = np.empty((1, layer.group, n))
                     pulled.append((*lift_rows(d, layer.group), out, out.reshape(-1, n)))
                 else:
-                    pulled.append(np.empty(d.shape, bool))
+                    pulled.append((d[:-1], np.empty((len(d) - 1, n), bool)))
             self._backward = grad, slots, upstream, pulled
         return self._backward
 
@@ -166,25 +166,21 @@ def forward(model, points, first_embedded=None, workspace=None):
     h = embed_input(model, points) if first_embedded is None else first_embedded
     ws = Workspace(model, h.shape[1]) if workspace is None else workspace
     trace = []
-    for layer, (out, lifted, rows, relu) in zip(model.layers, ws.forward_arrays()):
+    for layer, (product, out, complete) in zip(model.layers, ws.forward_arrays()):
         trace.append(h)
-        h = np.matmul(layer.w, h, out=out)
-        if layer.b is not None:
-            h += layer.b[:, None]
-        if lifted is not None:
-            lift_norms(*rows)
-            h = lifted
-        elif relu:
-            np.maximum(h, 0.0, out=h)
+        np.matmul(layer.w, h, out=product)
+        if complete is not None:
+            complete()
+        h = out
     return h.T, trace
 
 
 def backward(model, trace, d_logits, workspace=None):
     """Exact gradient of the loss with respect to ``model.theta``.
 
-    ``d_logits`` is (batch, 8), like the logits.  Returns one vector
-    in ``theta``'s layout: layer by layer, the row-major weight gradient,
-    then a dense layer's bias gradient, each written into its slot.  The lift
+    ``d_logits`` is (batch, 8), like the logits.  Returns one vector in ``theta``'s
+    layout: layer by layer, the row-major weight gradient ``d @ x.T`` in its slot, of
+    which a dense layer's ones row makes the last column the bias gradient.  The lift
     of the raw model input carries no parameters, so no gradient is propagated
     past the first layer.  For ``workspace``, see :class:`Workspace`.
     """
@@ -192,17 +188,16 @@ def backward(model, trace, d_logits, workspace=None):
     ws = Workspace(model, d.shape[1]) if workspace is None else workspace
     grad, slots, upstream, pulled = ws.backward_arrays()
     for i in range(len(model.layers) - 1, -1, -1):
-        layer, x, slot = model.layers[i], trace[i], slots[i]
-        if layer.b is not None:
-            np.add.reduce(d, axis=1, out=slot.b)
-        np.matmul(d, x.T, out=slot.w)
+        layer, x = model.layers[i], trace[i]
+        np.matmul(d, x.T, out=slots[i])
         if i > 0:
-            d = np.matmul(layer.w.T, d, out=upstream[i])
+            np.matmul(layer.w.T, d, out=upstream[i])
             if layer.group:
                 d_g, d_norm, out, d = pulled[i]
                 lift_pull(d_g, d_norm, lift_rows(x, layer.group)[0], out)
             else:  # max(p, 0) > 0 exactly when p > 0: the ReLU's mask, 0 at 0
-                d *= np.greater(x, 0.0, out=pulled[i])
+                d, mask = pulled[i]
+                d *= np.greater(x[:-1], 0.0, out=mask)
     return grad
 
 

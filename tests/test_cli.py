@@ -9,6 +9,7 @@ from mlgp.cli import build_parser, main
 from mlgp.experiment import (RECORDS_HEADER, RESULTS_HEADER, ProtocolConfig, load_records,
                              load_results)
 from mlgp.models import build_model, load_checkpoint
+from mlgp.nn import forward, softmax_cross_entropy
 from mlgp.tetris import DATASET_HEADER, load_dataset
 from mlgp import _serialize, experiment, models
 
@@ -75,6 +76,25 @@ def test_train_and_checkpoint(tmp_path, capsys):
     assert step == 60
     out = capsys.readouterr().out
     assert "val accuracy" in out
+
+
+def test_train_prints_the_loss_of_the_model_it_saves(tmp_path, capsys):
+    # at --epochs 0 that is the initial model's finite loss, which printed as nan
+    data = tmp_path / "train.csv"
+    ckpt = tmp_path / "model.json"
+    run("gen-data", "--size", "64", "--seed", "1", "--out", data)
+    train = load_dataset(data)
+    initial = build_model("mlp", np.random.default_rng(5))
+    for epochs in (0, 3):
+        capsys.readouterr()
+        assert run("train", "--model", "mlp", "--train", data, "--epochs", epochs,
+                   "--seed", "5", "--out", ckpt) == 0
+        _, model, _ = load_checkpoint(ckpt)
+        assert np.array_equal(model.theta, initial.theta) == (epochs == 0)
+        loss = softmax_cross_entropy(forward(model, train.points)[0], train.labels)[0]
+        assert np.isfinite(loss)
+        out = capsys.readouterr().out
+        assert f"trained mlp for {epochs} epochs, final loss {loss:.6f}\n" in out
 
 
 def test_train_missing_file_fails(tmp_path):
@@ -322,6 +342,23 @@ def test_isometry_test_and_export_spheres_reject_v1_checkpoint(tmp_path, capsys)
                     "activation": activation, "weights": layer.w.tolist(), "bias": None}
                    for layer, (kind, activation) in zip(layers, specs)],
     })
+    test = tmp_path / "test.csv"
+    run("gen-data", "--size", "16", "--seed", "15", "--out", test)
+    capsys.readouterr()
+    for argv in (("isometry-test", "--checkpoint", ckpt, "--test", test),
+                 ("export-spheres", "--checkpoint", ckpt, "--out", tmp_path / "s.json")):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: not a model checkpoint: {ckpt}"
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_isometry_test_and_export_spheres_reject_v2_checkpoint(tmp_path, capsys):
+    # mlgp-checkpoint-v2 files hold mlp's biases after its weights, not as their last column
+    model = build_model("mlp", np.random.default_rng(16))
+    ckpt = tmp_path / "v2.json"
+    _serialize.save(ckpt, {"format": "mlgp-checkpoint-v2", "model": "mlp", "adam_step": 5,
+                           "theta": model.theta.tolist()})
     test = tmp_path / "test.csv"
     run("gen-data", "--size", "16", "--seed", "15", "--out", test)
     capsys.readouterr()

@@ -44,10 +44,13 @@ def test_lift_examples():
     batch = np.arange(6.0).reshape(3, 2)
     assert lift(batch, 3).shape == (5, 2)
     assert np.array_equal(lift(batch, 3)[:, 1], lift(batch[:, 1], 3))
-    # group 3 lifts each point of a flattened shape; group 0 does not lift
+    # group 3 lifts each point of a flattened shape; group 0 appends a row of
+    # ones, C-contiguous even from a transposed view
     got = lift([0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 3)
     assert np.array_equal(got, [0, 0, 0, -1, 0, 1, 0, 0, -1, -0.5])
-    assert np.array_equal(lift(batch, 0), batch)
+    assert np.array_equal(lift(batch, 0), [[0, 1], [2, 3], [4, 5], [1, 1]])
+    assert lift(batch.T, 0).flags.c_contiguous
+    assert np.array_equal(lift([2.0, 3.0], 0), [2, 3, 1])
 
 
 def test_lift_grad_is_the_transposed_jacobian():

@@ -13,9 +13,10 @@ VALUES = st.floats(-1e6, 1e6)
 
 
 def lift_jvp(x, u, group):
-    """J(x) u for the lift: each block (x, -1, -|x|^2/2) moves by (u, 0, -x.u)."""
+    """J(x) u for the lift: each block (x, -1, -|x|^2/2) moves by (u, 0, -x.u),
+    and group 0's (x, 1) by (u, 0)."""
     if group == 0:
-        return u
+        return np.concatenate([u, np.zeros((1, x.shape[1]))])
     xb, ub = (a.reshape(-1, group, a.shape[1]) for a in (x, u))
     zeros = np.zeros((len(xb), 1, x.shape[1]))
     moved = np.concatenate([ub, zeros, -(xb * ub).sum(axis=1, keepdims=True)], axis=1)

@@ -41,16 +41,17 @@ def test_parameter_counts_match_reference():
 
 def test_build_model_structure():
     mlp = build_model("mlp")
-    # a layer is its lift group; group 0 (dense) has a bias and no lift
+    # a layer is its lift group; group 0 (dense) lifts to (x, 1), so its last
+    # weight column is its bias
     assert mlp.kind == "mlp"
     assert [l.group for l in mlp.layers] == [0, 0]
-    assert all(l.b is not None for l in mlp.layers)
+    assert [l.w.shape for l in mlp.layers] == [(6, 13), (8, 7)]
     mlhp = build_model("mlhp")
     assert [l.group for l in mlhp.layers] == [12, 5]
-    assert all(l.b is None for l in mlhp.layers)
+    assert [l.w.shape for l in mlhp.layers] == [(5, 14), (8, 7)]
     mlgp = build_model("mlgp")
     assert [l.group for l in mlgp.layers] == [3, 4]
-    assert all(l.b is None for l in mlgp.layers)
+    assert [l.w.shape for l in mlgp.layers] == [(4, 20), (8, 6)]
     for model in (mlp, mlhp, mlgp):
         assert model.theta.dtype == np.float64
         assert all(np.shares_memory(l.w, model.theta) for l in model.layers)
@@ -136,9 +137,9 @@ def test_model_copy_is_independent():
     assert dup.kind == "mlp"
     assert np.array_equal(dup.theta, model.theta)
     dup.layers[0].w[0, 0] += 1.0
-    dup.layers[0].b[0] += 1.0
+    dup.layers[0].w[0, -1] += 1.0  # a bias
     assert model.layers[0].w[0, 0] != dup.layers[0].w[0, 0]
-    assert model.layers[0].b[0] != dup.layers[0].b[0]
+    assert model.layers[0].w[0, -1] != dup.layers[0].w[0, -1]
 
 
 def test_model_pickles_and_deep_copies_with_its_views():
@@ -147,7 +148,7 @@ def test_model_pickles_and_deep_copies_with_its_views():
         model = build_model(kind, np.random.default_rng(4))
         logits = forward(model, data.points)[0]
         for dup in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
-            assert all(np.shares_memory(layer.params, dup.theta) for layer in dup.layers), kind
+            assert all(np.shares_memory(layer.w, dup.theta) for layer in dup.layers), kind
             assert np.array_equal(forward(dup, data.points)[0], logits), kind
             dup.theta[:] = 0.0
             assert not forward(dup, data.points)[0].any(), kind
@@ -251,10 +252,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(got.theta, model.theta)
         for a, b in zip(got.layers, model.layers):
             assert np.array_equal(a.w, b.w)
-            if b.b is None:
-                assert a.b is None
-            else:
-                assert np.array_equal(a.b, b.b)
+            assert np.array_equal(a.w[:, -1], b.w[:, -1])  # a dense layer's bias
 
 
 def test_checkpoint_preserves_tricky_floats(tmp_path):
@@ -305,7 +303,7 @@ def test_checkpoint_is_format_kind_step_and_theta(tmp_path):
     model = build_model("mlgp", np.random.default_rng(10))
     save_checkpoint(path, "mlgp", model, adam_step=5)
     doc = json.loads(path.read_text())
-    assert doc == {"format": "mlgp-checkpoint-v2", "model": "mlgp", "adam_step": 5,
+    assert doc == {"format": "mlgp-checkpoint-v3", "model": "mlgp", "adam_step": 5,
                    "theta": model.theta.tolist()}
 
 

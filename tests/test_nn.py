@@ -1,6 +1,7 @@
 """Tests for layers, embeddings, gradients, loss, and the optimizer."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mlgp.nn import (
     EVAL_BLOCK,
     EXP_FLOOR,
     Adam,
+    Layer,
     Workspace,
     backward,
     embed_input,
@@ -80,21 +82,38 @@ def test_layer_construction():
     model = build_model("mlp", rng)
     layer = model.layers[0]
     bound = 1.0 / np.sqrt(12)
+    # weights and, in the last column, biases: the lift's ones row is not a fan-in
     assert np.all(np.abs(layer.w) <= bound)
-    assert np.all(np.abs(layer.b) <= bound)
-    assert layer.w.shape == (6, 12) and layer.b.shape == (6,)
-    # theta is the layers' weights and biases laid end to end, as views
+    assert layer.w.shape == (6, 13)
+    # theta is the layers' weights laid end to end, as views
     second = model.layers[1]
-    assert np.array_equal(
-        model.theta, np.concatenate([layer.w.ravel(), layer.b, second.w.ravel(), second.b])
-    )
-    model.theta[12 * 6] = 7.0
-    assert layer.b[0] == 7.0
+    assert np.array_equal(model.theta, np.concatenate([layer.w.ravel(), second.w.ravel()]))
+    model.theta[12] = 7.0
+    assert layer.w[0, -1] == 7.0
     second.w[0, 0] = -7.0
-    assert model.theta[12 * 6 + 6] == -7.0
+    assert model.theta[13 * 6] == -7.0
     # no rng -> zero parameters
     zero = build_model("mlgp").layers[0]
-    assert not zero.w.any() and zero.b is None
+    assert not zero.w.any()
+
+
+def test_mlp_draw_puts_each_weight_and_bias_in_its_place():
+    # one uniform draw per layer, weights then biases, in +-1/sqrt(fan-in) as
+    # before the biases were folded in: each value keeps its role
+    for seed in (2, 40):
+        model = build_model("mlp", np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        for layer, (fan_in, out) in zip(model.layers, ((12, 6), (6, 8))):
+            bound = 1.0 / np.sqrt(fan_in)
+            draw = rng.uniform(-bound, bound, out * fan_in + out)
+            assert np.array_equal(layer.w[:, :-1], draw[: out * fan_in].reshape(out, fan_in))
+            assert np.array_equal(layer.w[:, -1], draw[out * fan_in :])
+    # mlhp and mlgp draw their weights as before, row-major in +-1/sqrt(in_dim)
+    for kind in ("mlhp", "mlgp"):
+        model, rng = build_model(kind, np.random.default_rng(3)), np.random.default_rng(3)
+        for layer in model.layers:
+            bound = 1.0 / np.sqrt(layer.in_dim)
+            assert np.array_equal(layer.w.ravel(), rng.uniform(-bound, bound, layer.w.size))
 
 
 def test_geometric_neuron_decomposes_into_spheres():
@@ -229,8 +248,8 @@ def test_dense_forward_matches_manual():
     first, second = model.layers
     pts = rng.uniform(-3, 3, (4, 3))
     x = pts.reshape(-1)
-    h = np.maximum(first.w @ x + first.b, 0.0)
-    want = second.w @ h + second.b
+    h = np.maximum(first.w[:, :-1] @ x + first.w[:, -1], 0.0)
+    want = second.w[:, :-1] @ h + second.w[:, -1]
     logits, _ = forward(model, pts[None])
     assert np.allclose(logits[0], want, atol=1e-12)
 
@@ -241,16 +260,20 @@ def test_activations():
     model = build_model("mlp", np.random.default_rng(26))
     first, second = model.layers
     first.w[:] = 0.0
-    first.b[:] = [-1.0, 0.0, 2.0, 0.0, 0.5, -0.0]
+    first.w[:, -1] = [-1.0, 0.0, 2.0, 0.0, 0.5, -0.0]  # the biases
     pts = np.random.default_rng(27).uniform(-3, 3, (3, 4, 3))
     logits, trace = forward(model, pts)
-    hidden = np.array([0.0, 0.0, 2.0, 0.0, 0.5, 0.0])
+    hidden = np.array([0.0, 0.0, 2.0, 0.0, 0.5, 0.0, 1.0])  # and the ones row
     assert np.array_equal(trace[1], np.tile(hidden[:, None], 3))
-    assert np.array_equal(logits, (second.w @ trace[1] + second.b[:, None]).T)
+    # self-consistency: the logits are the folded product of the trace
+    assert np.array_equal(logits, (second.w @ trace[1]).T)
+    # W h + b adds the bias after BLAS sums W h; the folded product sums all 7 terms its own way
+    want = second.w[:, :-1] @ trace[1][:-1] + second.w[:, -1:]
+    assert np.allclose(logits, want.T, rtol=1e-15, atol=1e-15)
     grads = Model("mlp", backward(model, trace, np.ones((3, 8)))).layers
-    live = first.b > 0.0
-    assert not grads[0].w[~live].any() and not grads[0].b[~live].any()
-    assert np.allclose(grads[0].b[live], 3.0 * second.w.sum(axis=0)[live], rtol=1e-12)
+    live = first.w[:, -1] > 0.0
+    assert not grads[0].w[~live].any()
+    assert np.allclose(grads[0].w[live, -1], 3.0 * second.w[:, :-1].sum(axis=0)[live], rtol=1e-12)
 
 
 def test_softmax_is_probability_vector():
@@ -432,18 +455,42 @@ def test_dense_backward_matches_textbook_formulas():
     grads = Model("mlp", backward(model, trace, dys)).layers
     dy = dys[0]
 
-    z1 = first.w @ x + first.b
+    # each bias is the last column of its layer's weights
+    z1 = first.w[:, :-1] @ x + first.w[:, -1]
     h = np.maximum(z1, 0.0)
     dw2 = np.outer(dy, h)
     db2 = dy
-    dh = second.w.T @ dy
+    dh = second.w[:, :-1].T @ dy
     dz1 = dh * (z1 > 0)
     dw1 = np.outer(dz1, x)
     db1 = dz1
-    assert np.allclose(grads[1].w, dw2, atol=1e-12)
-    assert np.allclose(grads[1].b, db2, atol=1e-12)
-    assert np.allclose(grads[0].w, dw1, atol=1e-12)
-    assert np.allclose(grads[0].b, db1, atol=1e-12)
+    assert np.allclose(grads[1].w[:, :-1], dw2, atol=1e-12)
+    assert np.allclose(grads[1].w[:, -1], db2, atol=1e-12)
+    assert np.allclose(grads[0].w[:, :-1], dw1, atol=1e-12)
+    assert np.allclose(grads[0].w[:, -1], db1, atol=1e-12)
+
+
+def test_mlp_matches_an_explicit_affine_reference():
+    # W x + b with the bias apart, against the folded (x, 1) product, at the
+    # protocol's batch (a BLAS product) and a small odd one
+    data = make_dataset("main", 1000, noise_a=0.1, seed=32)
+    for n in (1000, 37):
+        model = build_model("mlp", np.random.default_rng(33))
+        first, second = model.layers
+        pts, labels = data.points[:n], data.labels[:n]
+        logits, trace = forward(model, pts)
+        _, dys = softmax_cross_entropy(logits, labels)
+        grads = Model("mlp", backward(model, trace, dys)).layers
+        x = pts.reshape(n, -1).T
+        z1 = first.w[:, :-1] @ x + first.w[:, -1:]
+        h = np.maximum(z1, 0.0)
+        want = second.w[:, :-1] @ h + second.w[:, -1:]
+        assert np.max(np.abs(logits - want.T)) <= 1e-12
+        dy = dys.T
+        dz1 = (second.w[:, :-1].T @ dy) * (z1 > 0.0)
+        for got, dz, inp in ((grads[1], dy, h), (grads[0], dz1, x)):
+            assert np.max(np.abs(got.w[:, :-1] - dz @ inp.T)) <= 1e-12
+            assert np.max(np.abs(got.w[:, -1] - dz.sum(axis=1))) <= 1e-12
 
 
 def test_adam_zero_gradient_is_a_fixed_point():
@@ -549,7 +596,8 @@ def test_stacked_adam_moments_match_the_two_array_step():
 
 
 def reference_lift(x, group):
-    """Batch-major lift of each group-wide block of the rows of (batch, m) x."""
+    """Batch-major lift of each group-wide block of the rows of (batch, m) x;
+    group 0 is not lifted, since the reference adds a dense layer's bias apart."""
     if group == 0:
         return x
     g = x.reshape(len(x), -1, group)
@@ -558,13 +606,19 @@ def reference_lift(x, group):
     return np.concatenate([g, -ones, -0.5 * sq], axis=-1).reshape(len(x), -1)
 
 
+def affine(layer):
+    """A layer's weights and bias: a dense layer's bias is its last weight column."""
+    return (layer.w, None) if layer.group else (layer.w[:, :-1], layer.w[:, -1])
+
+
 def reference_fit(model, points, labels, epochs, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):
     """Full-batch Adam with every array laid out (batch, features).
 
     The textbook formulas, written independently of the package's feature-
     major core: forward, softmax cross-entropy, backward and Adam.  A hidden
     input is lifted when its layer has a group and passed through a ReLU
-    when it has none.
+    when it has none.  A dense layer's bias, the last column of its weights,
+    is added and reduced apart.
     """
     theta = model.theta
     m, v = np.zeros_like(theta), np.zeros_like(theta)
@@ -577,7 +631,8 @@ def reference_fit(model, points, labels, epochs, lr=0.001, b1=0.9, b2=0.999, eps
             relu = i > 0 and not layer.group
             e = np.maximum(x, 0.0) if relu else reference_lift(x, layer.group)
             trace.append((x, e, relu))
-            x = e @ layer.w.T + (0.0 if layer.b is None else layer.b)
+            w, b = affine(layer)
+            x = e @ w.T + (0.0 if b is None else b)
         shifted = x - x.max(axis=1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         losses.append(-log_probs[rows, labels].mean())
@@ -586,10 +641,10 @@ def reference_fit(model, points, labels, epochs, lr=0.001, b1=0.9, b2=0.999, eps
         d /= len(rows)
         parts = []
         for layer, (x_in, e, relu) in reversed(list(zip(model.layers, trace))):
-            if layer.b is not None:
-                parts.append(d.sum(axis=0))
-            parts.append((d.T @ e).ravel())
-            d = d @ layer.w
+            w, b = affine(layer)
+            dw = d.T @ e if b is None else np.column_stack([d.T @ e, d.sum(axis=0)])
+            parts.append(dw.ravel())
+            d = d @ w
             if relu:
                 d = d * (x_in > 0.0)
             elif layer.group:
@@ -663,6 +718,15 @@ def test_fit_in_its_workspace_matches_the_loop_without_one(kind, batch):
         plain_losses.append(loss)
     assert np.array_equal(model.theta, plain.theta)
     assert np.array_equal(losses, np.array(plain_losses)[SAMPLED_300])
+
+
+def test_workspace_rejects_a_hidden_lift_wider_than_the_logits():
+    # a hidden lift squares into the 8 logit rows, so its block has at most 8
+    layers = [Layer(12, 14, 9, np.zeros(126)), Layer(9, 11, 8, np.zeros(88))]
+    with pytest.raises(ValueError, match="one block of <= 8 rows"):
+        Workspace(SimpleNamespace(layers=layers), 4).forward_arrays()
+    layers = [Layer(12, 14, 8, np.zeros(112)), Layer(8, 10, 8, np.zeros(80))]
+    assert len(Workspace(SimpleNamespace(layers=layers), 4).forward_arrays()) == 2
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
