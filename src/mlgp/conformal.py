@@ -198,10 +198,7 @@ class RigidMotion:
     def apply(self, points):
         """Apply to one point (3,) or a stack of points (..., 3), in one matmul."""
         p = np.asarray(points, dtype=float)
-        # translate a row of the last two axes at a time (a shape's 12 values), not each point
-        k = p.shape[-2] if p.ndim > 1 and p.shape[-2] else 1
-        moved = (p.reshape(-1, 3) @ self.rotation.T).reshape(-1, 3 * k) + np.tile(self.translation, k)
-        return moved.reshape(p.shape)
+        return (p.reshape(-1, 3) @ self.rotation.T + self.translation).reshape(p.shape)
 
     def compose(self, inner):
         """Motion equal to applying ``inner`` first, then this one."""

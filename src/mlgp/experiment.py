@@ -23,7 +23,7 @@ from . import _serialize, tetris
 from .conformal import DegenerateSphereError, RigidMotion, extract_center_radius_sq, lift, point_normalize
 from .models import MLGP, MODEL_KINDS, accuracy, build_model, hits, transform_mlgp_weights
 from .nn import (Adam, Workspace, backward, check_count, check_labels, check_real, embed_input,
-                 eval_blocks, forward, one_hot, softmax_cross_entropy)
+                 eval_blocks, forward, softmax_cross_entropy)
 from .tetris import make_dataset
 
 MAIN_EXPERIMENT = "main"
@@ -163,20 +163,20 @@ def loss_epochs(epochs):
 def fit(model, points, labels, epochs, lr=ProtocolConfig.lr):
     """Full-batch Adam on softmax cross-entropy; returns the losses of :func:`loss_epochs`.
 
-    Each loss is taken before its epoch's step.  The input lift and the one-hot
-    target are made once, and every epoch runs in one ``nn.Workspace``; theta and
+    Each loss is taken before its epoch's step.  The input lift is made once, and every
+    epoch runs in one ``nn.Workspace``, which makes the labels' target once; theta and
     each returned loss are bit for bit those of a loop without one taking every loss.
     """
     check_count("epochs", epochs, 0)
     first = embed_input(model, points)
-    target = one_hot(check_labels(labels, first.shape[1]))
+    labels = check_labels(labels, first.shape[1])
     opt = Adam(model.theta, lr)
     ws = Workspace(model, first.shape[1])
     sampled = set(loss_epochs(epochs))
     losses = []
     for epoch in range(1, epochs + 1):
         logits, trace = forward(model, points, first, ws)
-        loss, dlogits = softmax_cross_entropy(logits, target, ws, epoch in sampled)
+        loss, dlogits = softmax_cross_entropy(logits, labels, ws, epoch in sampled)
         opt.step(backward(model, trace, dlogits, ws))
         if loss is not None:
             losses.append(loss)

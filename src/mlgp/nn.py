@@ -83,74 +83,63 @@ def eval_blocks(n):
 
 
 class Workspace:
-    """The arrays of one architecture and batch size that a fit's epochs reuse.
+    """The arrays of one architecture and batch size that a fit's epochs reuse, all made here.
 
-    :func:`forward`, :func:`softmax_cross_entropy` and :func:`backward` take one
-    as their ``workspace`` option; a call without one makes its own, so it runs
-    the same code to the same results in fresh arrays.  Each phase makes its
-    arrays, listed by its ``*_arrays`` method, and the views its calls read on
-    first use.  The logits, trace and gradient returned with a workspace are
-    views of its arrays, which the next call overwrites.  It serves any model of
-    its kind, and makes the loss's target again only for another ``labels`` object.
+    :func:`forward`, :func:`softmax_cross_entropy` and :func:`backward` take one as their
+    ``workspace``; a call without one makes only its own phase's arrays, by the same code, and
+    gets the same results (the loss lets NumPy make its outputs).  The logits, trace and
+    gradient returned with one are views of its arrays, which the next call overwrites.  It
+    serves any model of its architecture, and remakes the target only for another ``labels``.
     """
 
     def __init__(self, model, batch):
-        self._layers = () if model is None else model.layers
-        self._batch = batch
-        self._forward = self._loss = self._backward = self._labels = None
+        self.steps = _forward_steps(model.layers, batch)
+        self.loss_outs = *np.empty((3, batch)), np.empty((8, batch)), np.empty((8, batch))
+        self.grads = _grad_arrays(model.layers, batch)
+        self._labels = self._targets = None
 
-    def forward_arrays(self):
-        """Per layer: its product's rows, the array holding them (the next lift buffer, its constant
-        row written once, or the logits), and the ReLU or ``lift_norms`` (squaring into logit rows)."""
-        if self._forward is None:
-            logits = np.empty((self._layers[-1].out_dim, self._batch))
-            self._forward = [self._product(layer, nxt, logits)
-                             for layer, nxt in zip(self._layers, [*self._layers[1:], None])]
-        return self._forward
+    def targets(self, labels, n):
+        """:func:`_targets` of ``labels``, kept until another ``labels`` object comes."""
+        if self._labels is not labels:
+            self._labels, self._targets = labels, _targets(labels, n)
+        return self._targets
 
-    @staticmethod
-    def _product(layer, nxt, logits):
-        if nxt is None:
-            return logits, logits, None
+
+def _forward_steps(layers, n):
+    """Per layer: its product's rows, the array holding them (the next lift buffer, its constant
+    row written once, or the logits), and the ReLU or ``lift_norms`` (squaring into logit rows)."""
+    logits = np.empty((layers[-1].out_dim, n))
+    steps = []
+    for layer, nxt in zip(layers, layers[1:]):
         if nxt.group not in (0, layer.out_dim) or nxt.group > len(logits):
             raise ValueError("a hidden lift must lift its whole product as one block of <= 8 rows")
-        lifted = np.empty((nxt.in_dim, logits.shape[1]))
+        lifted = np.empty((nxt.in_dim, n))
         lifted[layer.out_dim] = -1.0 if nxt.group else 1.0  # the lift's constant row
         product = lifted[: layer.out_dim]
-        if not nxt.group:
-            return product, lifted, partial(np.maximum, product, 0.0, out=product)
-        g, norm_sq = lift_rows(lifted, nxt.group)
-        return product, lifted, partial(lift_norms, g, norm_sq, logits[: nxt.group].reshape(g.shape))
+        if nxt.group:
+            g, norm_sq = lift_rows(lifted, nxt.group)
+            complete = partial(lift_norms, g, norm_sq, logits[: nxt.group].reshape(g.shape))
+        else:
+            complete = partial(np.maximum, product, 0.0, out=product)
+        steps.append((product, lifted, complete))
+    return [*steps, (logits, logits, None)]
 
-    def loss_arrays(self, labels):
-        """Column maxima, sums and log-sums, the (8, batch) shifted logits and exp,
-        and the class-major target of ``labels`` and it times ``1 / batch``."""
-        n = self._batch
-        if self._loss is None:
-            self._loss = [*np.empty((3, n)), np.empty((8, n)), np.empty((8, n)), None, None]
-        if self._labels is not labels:
-            target = (one_hot(labels) if np.ndim(labels) == 1 else labels).T
-            self._labels, self._loss[-2:] = labels, (target, target * (1.0 / n))
-        return self._loss
 
-    def backward_arrays(self):
-        """The gradient, per layer its weight-shaped slot, per hidden layer its upstream gradient,
-        and its (product rows, ReLU mask) or (d_g, d_norm, out, out in 2-D) for ``lift_pull``."""
-        if self._backward is None:
-            n, layers = self._batch, self._layers
-            ends = (0, *accumulate(layer.w.size for layer in layers))
-            grad = np.empty(ends[-1])
-            slots = [grad[a:b].reshape(layer.w.shape) for layer, a, b in zip(layers, ends, ends[1:])]
-            upstream = [None] + [np.empty((layer.in_dim, n)) for layer in layers[1:]]
-            pulled = [None]
-            for layer, d in zip(layers[1:], upstream[1:]):
-                if layer.group:
-                    out = np.empty((1, layer.group, n))
-                    pulled.append((*lift_rows(d, layer.group), out, out.reshape(-1, n)))
-                else:
-                    pulled.append((d[:-1], np.empty((len(d) - 1, n), bool)))
-            self._backward = grad, slots, upstream, pulled
-        return self._backward
+def _grad_arrays(layers, n):
+    """The gradient, per layer its weight-shaped slot, per hidden layer its upstream gradient,
+    and its (product rows, ReLU mask) or (d_g, d_norm, out, out in 2-D) for ``lift_pull``."""
+    ends = (0, *accumulate(layer.w.size for layer in layers))
+    grad = np.empty(ends[-1])
+    slots = [grad[a:b].reshape(layer.w.shape) for layer, a, b in zip(layers, ends, ends[1:])]
+    upstream = [None] + [np.empty((layer.in_dim, n)) for layer in layers[1:]]
+    pulled = [None]
+    for layer, d in zip(layers[1:], upstream[1:]):
+        if layer.group:
+            out = np.empty((1, layer.group, n))
+            pulled.append((*lift_rows(d, layer.group), out, out.reshape(-1, n)))
+        else:
+            pulled.append((d[:-1], np.empty((len(d) - 1, n), bool)))
+    return grad, slots, upstream, pulled
 
 
 def forward(model, points, first_embedded=None, workspace=None):
@@ -164,9 +153,9 @@ def forward(model, points, first_embedded=None, workspace=None):
     raises ValueError.  For ``workspace``, see :class:`Workspace`.
     """
     h = embed_input(model, points) if first_embedded is None else first_embedded
-    ws = Workspace(model, h.shape[1]) if workspace is None else workspace
+    steps = _forward_steps(model.layers, h.shape[1]) if workspace is None else workspace.steps
     trace = []
-    for layer, (product, out, complete) in zip(model.layers, ws.forward_arrays()):
+    for layer, (product, out, complete) in zip(model.layers, steps):
         trace.append(h)
         np.matmul(layer.w, h, out=product)
         if complete is not None:
@@ -185,8 +174,8 @@ def backward(model, trace, d_logits, workspace=None):
     past the first layer.  For ``workspace``, see :class:`Workspace`.
     """
     d = _class_major(d_logits)
-    ws = Workspace(model, d.shape[1]) if workspace is None else workspace
-    grad, slots, upstream, pulled = ws.backward_arrays()
+    grad, slots, upstream, pulled = (
+        _grad_arrays(model.layers, d.shape[1]) if workspace is None else workspace.grads)
     for i in range(len(model.layers) - 1, -1, -1):
         layer, x = model.layers[i], trace[i]
         np.matmul(d, x.T, out=slots[i])
@@ -227,31 +216,24 @@ def softmax(logits):
     return p.T
 
 
-def one_hot(labels):
-    """The (batch, 8) one-hot of (batch,) integer labels in 0..7.
-
-    It is the ``.T`` view of a C-contiguous (8, batch) array, the layout
-    :func:`softmax_cross_entropy` reads, so a training loop builds it once.
-    """
-    labels = check_labels(labels)
-    target = np.zeros((8, len(labels)))
-    target[labels, np.arange(len(labels))] = 1.0
-    return target.T
+def _targets(labels, n):
+    """The class-major (8, n) one-hot of ``labels``, n integers in 0..7, and it times ``1 / n``."""
+    target = (np.arange(8)[:, None] == check_labels(labels, n)).astype(float)
+    return target, target * (1.0 / n)
 
 
 def softmax_cross_entropy(logits, labels, workspace=None, value=True):
     """Mean cross-entropy of (batch, 8) logits and its gradient.
 
-    ``labels`` is a (batch,) vector of integers in 0..7 or its :func:`one_hot`.
-    Returns the mean loss, or None unless ``value``, and its (batch, 8) gradient
-    with respect to the logits, ``(softmax - onehot) / batch``.  One ``exp``,
-    floored, serves both; the loss reads the unfloored logits, so a wrong label
-    adds its exact loss.  For ``workspace``, see :class:`Workspace`.
+    ``labels`` is a (batch,) vector of integers in 0..7.  Returns the mean loss, or None
+    unless ``value``, and its (batch, 8) gradient with respect to the logits, ``(softmax
+    - onehot) / batch``.  One ``exp``, floored, serves both; the loss reads the unfloored
+    logits, so a wrong label adds its exact loss.  For ``workspace``, see :class:`Workspace`.
     """
     z = _class_major(logits)
     n = z.shape[1]
-    ws = Workspace(None, n) if workspace is None else workspace
-    col_max, col_sum, log_sum, shifted, e, target, scaled_target = ws.loss_arrays(labels)
+    target, scaled_target = _targets(labels, n) if workspace is None else workspace.targets(labels, n)
+    col_max, col_sum, log_sum, shifted, e = [None] * 5 if workspace is None else workspace.loss_outs
     shifted, e = _shifted_exp(z, col_max, shifted, e)
     s = np.add.reduce(e, axis=0, out=col_sum)
     # the target picks each column's label: log(s) less its shifted logit

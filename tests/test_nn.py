@@ -1,6 +1,7 @@
 """Tests for layers, embeddings, gradients, loss, and the optimizer."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,6 @@ from mlgp.nn import (
     embed_input,
     eval_blocks,
     forward,
-    one_hot,
     softmax,
     softmax_cross_entropy,
 )
@@ -296,19 +296,26 @@ def test_cross_entropy_examples():
     z[0, 2] = 100.0
     loss, _ = softmax_cross_entropy(z, [2])
     assert loss <= 1e-12
-    # extreme logits stay finite, and the one-hot target gives the same bits
+    # extreme logits stay finite
     extreme = np.array([[1e4, 0, 0, 0, 0, 0, 0, -1e4]] * 2)
     for labels in ([0, 0], [7, 3]):
         loss, d = softmax_cross_entropy(extreme, labels)
         assert np.isfinite(loss) and np.all(np.isfinite(d))
-        loss_1h, d_1h = softmax_cross_entropy(extreme, one_hot(labels))
-        assert loss_1h == loss and np.array_equal(d_1h, d)
-    # a label outside 0..7, or not an integer, is an error, not a wrapped index
-    for bad in ([0, 8], [-1, 0], [2.5, 0]):
-        with pytest.raises(ValueError, match="integers in 0..7"):
-            softmax_cross_entropy(np.zeros((2, 8)), bad)
-        with pytest.raises(ValueError, match="integers in 0..7"):
-            one_hot(bad)
+    # a label outside 0..7, not an integer, or a one-hot row is an error, not a
+    # wrapped index, with a workspace or without one
+    for bad in ([0, 8], [-1, 0], [2.5, 0], np.eye(8)[[0, 1]]):
+        for ws in (None, Workspace(build_model("mlp"), 2)):
+            with pytest.raises(ValueError, match="integers in 0..7"):
+                softmax_cross_entropy(np.zeros((2, 8)), bad, ws)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_cross_entropy_rejects_a_label_count_unlike_the_batch(value):
+    # one label for three shapes must not broadcast as label 0 for every shape
+    for ws in (None, Workspace(build_model("mlgp"), 3)):
+        for labels in ([0], [0, 1, 2, 3]):
+            with pytest.raises(ValueError, match=f"got {len(labels)} labels for 3 shapes"):
+                softmax_cross_entropy(np.zeros((3, 8)), labels, ws, value)
 
 
 def test_cross_entropy_batch_matches_singles():
@@ -689,12 +696,11 @@ def test_loss_and_backward_do_not_depend_on_the_logit_layout():
         loss_c, d_c = softmax_cross_entropy(np.ascontiguousarray(logits), labels)
         assert loss == loss_c and d.shape == d_c.shape == (50, 8)
         assert np.array_equal(d, d_c)
-        # the one-hot target that fit builds once gives the same bits
-        target = one_hot(labels)
-        assert target.shape == (50, 8) and target.T.flags.c_contiguous
+        # so do both layouts in a workspace, as a fit runs them
+        ws = Workspace(model, 50)
         for view in (logits, np.ascontiguousarray(logits)):
-            loss_1h, d_1h = softmax_cross_entropy(view, target)
-            assert loss_1h == loss and np.array_equal(d_1h, d)
+            loss_ws, d_ws = softmax_cross_entropy(view, labels, ws)
+            assert loss_ws == loss and np.array_equal(d_ws, d)
         grad = backward(model, trace, d)
         assert np.array_equal(grad, backward(model, trace, np.ascontiguousarray(d)))
 
@@ -708,7 +714,7 @@ def test_fit_in_its_workspace_matches_the_loop_without_one(kind, batch):
     model = build_model(kind, np.random.default_rng(27))
     plain = model.copy()
     losses = fit(model, data.points, data.labels, 300)
-    first, target = embed_input(plain, data.points), one_hot(data.labels)
+    first, target = embed_input(plain, data.points), data.labels
     opt = Adam(plain.theta, 0.001)
     plain_losses = []
     for _ in range(300):
@@ -724,9 +730,9 @@ def test_workspace_rejects_a_hidden_lift_wider_than_the_logits():
     # a hidden lift squares into the 8 logit rows, so its block has at most 8
     layers = [Layer(12, 14, 9, np.zeros(126)), Layer(9, 11, 8, np.zeros(88))]
     with pytest.raises(ValueError, match="one block of <= 8 rows"):
-        Workspace(SimpleNamespace(layers=layers), 4).forward_arrays()
+        Workspace(SimpleNamespace(layers=layers), 4)
     layers = [Layer(12, 14, 8, np.zeros(112)), Layer(8, 10, 8, np.zeros(80))]
-    assert len(Workspace(SimpleNamespace(layers=layers), 4).forward_arrays()) == 2
+    assert len(Workspace(SimpleNamespace(layers=layers), 4).steps) == 2
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -739,7 +745,7 @@ def test_one_workspace_serves_a_changing_theta_and_a_second_model(kind):
         rng = np.random.default_rng(seed)
         model = build_model(kind, rng)
         points = make_dataset("main", 37, noise_a=0.1, seed=seed).points
-        first, target = embed_input(model, points), one_hot(rng.integers(0, 8, 37))
+        first, target = embed_input(model, points), rng.integers(0, 8, 37)
         opt = Adam(model.theta, 0.01)
         for _ in range(20):
             logits, trace = forward(model, points, first)
@@ -752,3 +758,28 @@ def test_one_workspace_serves_a_changing_theta_and_a_second_model(kind):
             assert np.array_equal(ws_dlogits, dlogits)
             assert np.array_equal(backward(model, ws_trace, ws_dlogits, ws), grad)
             opt.step(grad)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_an_epoch_in_a_workspace_allocates_under_two_logit_sized_arrays(kind):
+    # the workspace holds every array an epoch writes; what is left is NumPy's
+    # output-sized temporary where a ufunc broadcasts an (n,) row over (8, n)
+    batch = 1000
+    data = make_dataset("main", batch, noise_a=0.1, seed=30)
+    model = build_model(kind, np.random.default_rng(31))
+    first, ws, opt = embed_input(model, data.points), Workspace(model, batch), Adam(model.theta, 0.001)
+
+    def epoch():
+        logits, trace = forward(model, data.points, first, ws)
+        _, dlogits = softmax_cross_entropy(logits, data.labels, ws)
+        opt.step(backward(model, trace, dlogits, ws))
+        return logits
+
+    epoch()  # the first epoch also builds the loss's target
+    tracemalloc.start()
+    try:
+        logits = epoch()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * logits.nbytes, peak
